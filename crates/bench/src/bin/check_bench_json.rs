@@ -21,7 +21,9 @@
 //! * perf artifacts (`"kind": "perf"`, from `perf_report`) — a disabled
 //!   tracer must stay free: the `tracer=off` row's wall-clock may not
 //!   exceed the base colocated row's by more than
-//!   [`TRACER_OVERHEAD_FACTOR`];
+//!   [`TRACER_OVERHEAD_FACTOR`]; and the `colocated …` rows, which serve
+//!   identical records on fresh engines, must report one distribution
+//!   cache hit rate (a spread means runs shared a memo);
 //! * autoscale artifacts (`"kind": "autoscale"`, from `fig_autoscale`) —
 //!   every autoscaled row must have actually scaled (≥ 1 join, peak past
 //!   the floor), priced under [`REPLICA_HOURS_CEILING_FACTOR`] of the
@@ -203,25 +205,28 @@ fn attribution_gate(doc: &Json) -> Vec<String> {
 /// reads far past 2%.
 const TRACER_OVERHEAD_FACTOR: f64 = 1.02;
 
-/// Applies the perf-artifact tracer gate: the row labelled `tracer=off`
-/// may not be slower than the base colocated row beyond
-/// [`TRACER_OVERHEAD_FACTOR`]. Returns the violations found (empty when
-/// the artifact is not a perf artifact or lacks the row pair).
-fn tracer_gate(doc: &Json) -> Vec<String> {
+/// Applies the perf-artifact gates: the row labelled `tracer=off` may not
+/// be slower than the base colocated row beyond
+/// [`TRACER_OVERHEAD_FACTOR`], and every colocated row must report the
+/// same `dist_cache_hit_rate_pct`. Returns the violations found (empty
+/// when the artifact is not a perf artifact).
+fn perf_gate(doc: &Json) -> Vec<String> {
     if doc.get("kind").and_then(Json::as_str) != Some("perf") {
         return Vec::new();
     }
     let Some(rows) = doc.get("rows").and_then(Json::as_arr) else {
         return Vec::new();
     };
+    let colocated: Vec<(&str, &Json)> = rows
+        .iter()
+        .filter_map(|r| Some((r.get("label").and_then(Json::as_str)?, r)))
+        .filter(|(l, _)| l.starts_with("colocated"))
+        .collect();
     let wall = |pred: &dyn Fn(&str) -> bool| {
-        rows.iter()
-            .find(|r| {
-                r.get("label")
-                    .and_then(Json::as_str)
-                    .is_some_and(|l| l.starts_with("colocated") && pred(l))
-            })
-            .and_then(|r| r.get("wall_ms").and_then(Json::as_num))
+        colocated
+            .iter()
+            .find(|(l, _)| pred(l))
+            .and_then(|(_, r)| r.get("wall_ms").and_then(Json::as_num))
     };
     let base = wall(&|l| !l.contains("tracer="));
     let off = wall(&|l| l.contains("tracer=off"));
@@ -233,6 +238,21 @@ fn tracer_gate(doc: &Json) -> Vec<String> {
                  {base:.1} ms × {TRACER_OVERHEAD_FACTOR} — the disabled tracer is not free"
             ));
         }
+    }
+    let hit_rates: Vec<(&str, f64)> = colocated
+        .iter()
+        .filter_map(|(l, r)| Some((*l, r.get("dist_cache_hit_rate_pct").and_then(Json::as_num)?)))
+        .collect();
+    if hit_rates.windows(2).any(|w| w[0].1 != w[1].1) {
+        let listed: Vec<String> = hit_rates
+            .iter()
+            .map(|(l, pct)| format!("{l}: {pct}"))
+            .collect();
+        errors.push(format!(
+            "colocated rows report different distribution cache hit rates ({}) — \
+             their engines shared a memo across runs",
+            listed.join(", ")
+        ));
     }
     errors
 }
@@ -414,7 +434,7 @@ fn main() {
                 let mut gate_errors = fleet_gate(&doc);
                 gate_errors.extend(prefix_gate(&doc));
                 gate_errors.extend(attribution_gate(&doc));
-                gate_errors.extend(tracer_gate(&doc));
+                gate_errors.extend(perf_gate(&doc));
                 gate_errors.extend(autoscale_gate(&doc));
                 gate_errors.extend(chaos_gate(&doc));
                 if gate_errors.is_empty() {

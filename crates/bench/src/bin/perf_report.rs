@@ -21,7 +21,10 @@
 //! the cluster pair is timed in interleaved rounds keeping each side's
 //! best of [`TRIALS`] — first-measured-run cold-start bias (allocator and
 //! i-cache warmup) otherwise dwarfs the executor difference on small
-//! smoke runs.
+//! smoke runs. Every engine of every run is built from its own fresh
+//! `SystemConfig`: clones of one config share a distribution memo, so a
+//! warmup would warm the measured runs and their cache counters would
+//! accumulate across runs.
 //!
 //! ```sh
 //! cargo run --release -p adaserve-bench --bin perf_report -- \
@@ -122,8 +125,7 @@ fn main() {
         "full"
     };
     let exec = adaserve_bench::exec_mode();
-    let config = SystemConfig::llama70b(seed);
-    let baseline_ms = config.baseline_ms;
+    let baseline_ms = SystemConfig::llama70b(seed).baseline_ms;
     let rps = if mode == "smoke" { 2.0 } else { 4.0 };
     let wl = WorkloadBuilder::new(seed, baseline_ms)
         .target_rps(rps)
@@ -142,7 +144,7 @@ fn main() {
     // drift and cold-start bias must hit both sides equally. A disabled
     // tracer is one branch per iteration, so the twin must land within
     // timer noise of the base row.
-    let colocated = || Colocated::new(Box::new(AdaServeEngine::new(config.clone())));
+    let colocated = || Colocated::new(Box::new(AdaServeEngine::new(SystemConfig::llama70b(seed))));
     let _ = timed(colocated(), &wl);
     let _ = timed_session(
         ServeSession::new(colocated()).with_tracer(Tracer::off()),

@@ -5,9 +5,9 @@
 //! *fleets* of engines behind a request router. This crate simulates that
 //! setting on the same deterministic substrate:
 //!
-//! * [`replica`] — a [`Replica`] wraps any [`serving::ServingEngine`]
-//!   (AdaServe, any baseline, any GPU profile) with a local clock and the
-//!   load views routers consume;
+//! * [`Replica`] — re-exported from [`serving`]: any
+//!   [`serving::ServingEngine`] (AdaServe, any baseline, any GPU profile)
+//!   with a local clock and the load views routers consume;
 //! * [`router`] — the [`Router`] trait and five policies: [`RoundRobin`],
 //!   [`LeastOutstanding`], [`JoinShortestQueue`] (by hardware-normalized
 //!   modelled load), [`SloAware`], the cluster analogue of the paper's
@@ -16,17 +16,16 @@
 //!   which sends a request to the replica holding its longest cached
 //!   prompt prefix (see [`serving::PrefixCache`]) unless that replica is
 //!   saturated;
-//! * [`driver`] — the [`Cluster`]: a fleet of replicas behind one router,
-//!   implementing [`serving::Deployment`] so a [`serving::ServeSession`]
-//!   drives it (arrival routing, per-replica iterations interleaved under
-//!   the session's global clock, drain/join scaling via the session's
-//!   timeline or legacy [`ScalingEvent`]s), merging all completion
-//!   records into one fleet-wide stream for [`metrics`].
+//! * [`driver`] — the [`Cluster`]: a [`serving::ReplicaPool`] behind one
+//!   router, implementing [`serving::Deployment`] so a
+//!   [`serving::ServeSession`] drives it (arrival routing, per-replica
+//!   iterations interleaved under the session's global clock, drain/join
+//!   scaling via the session's `scale_at` timeline), merging all
+//!   completion records into one fleet-wide stream for [`metrics`].
 //!
 //! Run a cluster through the front door:
 //! `ServeSession::new(cluster).serve(&workload)` — or
-//! `serve_online(...)` for mid-run submission/scaling. The legacy batch
-//! `Cluster::run` remains as a deprecated, output-equivalent shim.
+//! `serve_online(...)` for mid-run submission/scaling.
 //!
 //! Replicas may be heterogeneous: each engine carries its own
 //! [`serving::SystemConfig`], so one fleet can mix A100 and H100 profiles
@@ -35,15 +34,11 @@
 //! on the slowest replica.
 
 pub mod driver;
-pub mod replica;
 pub mod router;
 
-pub use driver::{
-    accepting_or_all, max_baseline_ms, Cluster, ClusterRunResult, ReplicaResult, ScalingAction,
-    ScalingEvent,
-};
-pub use replica::{InboundWork, Replica};
+pub use driver::{max_baseline_ms, Cluster, ScalingAction};
 pub use router::{
     two_phase_pick, JoinShortestQueue, LeastOutstanding, PrefixAffinity, RoundRobin, Router,
     RouterKind, SloAware,
 };
+pub use serving::{InboundWork, Replica};

@@ -7,7 +7,7 @@
 //! at cluster granularity, the paper's §4.3 budget split between
 //! SLO-constrained and throughput-tier requests.
 
-use crate::replica::Replica;
+use serving::Replica;
 use workload::RequestSpec;
 
 /// A request-routing policy.
@@ -401,7 +401,7 @@ mod tests {
     }
 
     fn replica(id: usize, queued: usize) -> Replica {
-        let mut r = Replica::new(
+        let mut r: Replica = Replica::new(
             id,
             Box::new(Stub {
                 core: EngineCore::new(SystemConfig::llama70b(1)),

@@ -20,9 +20,9 @@
 //!   decode replica.
 
 use crate::prefill::PrefillReplica;
-use cluster::{Replica, Router};
+use cluster::Router;
 use metrics::telemetry::{EventKind, TraceReplica, Tracer};
-use serving::LiveRequest;
+use serving::{LiveRequest, Replica};
 use workload::RequestSpec;
 
 /// Default TTFT (ms) at or below which a request is dispatch-tight: covers
@@ -268,9 +268,12 @@ mod tests {
     #[test]
     fn decode_handoff_respects_eligibility() {
         use adaserve_core::AdaServeEngine;
-        use cluster::Replica;
         let replicas: Vec<Replica> = (0..2)
-            .map(|id| Replica::new(id, Box::new(AdaServeEngine::new(SystemConfig::llama70b(1)))))
+            .map(|id| {
+                let engine: Box<dyn serving::ServingEngine> =
+                    Box::new(AdaServeEngine::new(SystemConfig::llama70b(1)));
+                Replica::new(id, engine)
+            })
             .collect();
         let mut d = Dispatcher::new(RouterKind::RoundRobin.build());
         let req = LiveRequest::new(spec(3, 400.0));

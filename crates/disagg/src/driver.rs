@@ -1,11 +1,12 @@
-//! The disaggregated discrete-event driver.
+//! The disaggregated deployment: a prefill pool and a decode
+//! [`ReplicaPool`] joined by a KV-migration fabric.
 //!
-//! One global clock orders five event kinds: request arrivals (dispatched
-//! to the prefill pool), elastic-scaling events (drain/join on either
-//! pool), prefill iterations, KV-transfer arrivals (migrated requests
-//! admitted into decode replicas) and decode iterations. Decode replicas
-//! are ordinary [`cluster::Replica`]s, so the decode pool runs the same
-//! engines — and the same stall/clock bookkeeping — as a colocated
+//! One global clock orders four event kinds: request arrivals
+//! (dispatched to the prefill pool), prefill iterations, KV-transfer
+//! arrivals (migrated requests landed on decode replicas) and decode
+//! iterations. The decode side is an ordinary [`ReplicaPool`] of
+//! [`Replica`]s, marked [`ReplicaPool::migrated`], so it runs the same
+//! engines — and steps them through the same code — as a colocated
 //! [`cluster::Cluster`]. Completion records from every decode replica
 //! merge into one fleet-wide stream via [`metrics::merge_by_completion`].
 
@@ -13,103 +14,28 @@ use crate::dispatch::Dispatcher;
 use crate::migrate::{KvLink, KvTransfer, TransferQueue, TransferStats};
 use crate::prefill::{PrefillPool, PrefillReplica};
 pub use cluster::ScalingAction;
-use cluster::{InboundWork, Replica, ReplicaResult};
 use metrics::telemetry::{EventKind, GaugeSample, TraceReplica, Tracer};
-use metrics::{ClusterReport, HotLoopStats, RequestRecord, SloReport};
 use serving::{
-    core_gauges, Deployment, DeploymentEvent, DeploymentStep, ExecMode, FaultKind,
-    LifecycleTracker, LiveRequest, ReplicaAddr, RunError, RunOptions, RunResult, ServeSession,
-    ServingEngine, ShardedExecutor, UnitStats,
+    fleet_gauges, Deployment, DeploymentStep, ExecMode, FaultKind, LifecycleTracker, Replica,
+    ReplicaAddr, ReplicaPool, RunError, RunOptions, RunResult, ServingEngine, UnitStats,
 };
-use std::collections::{HashSet, VecDeque};
-use std::sync::Mutex;
-use workload::{RequestSpec, Workload};
+use std::collections::HashSet;
+use workload::RequestSpec;
 
 pub use serving::Pool;
-
-/// A scheduled drain/join of one replica in one pool.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DisaggScalingEvent {
-    /// Simulation time at which the event applies.
-    pub at_ms: f64,
-    /// Target pool.
-    pub pool: Pool,
-    /// Target replica index within the pool.
-    pub replica: usize,
-    /// Drain or join.
-    pub action: ScalingAction,
-}
-
-/// One prefill replica's share of a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefillStats {
-    /// Replica index within the prefill pool.
-    pub replica: usize,
-    /// Arrivals the dispatcher placed here.
-    pub routed: u64,
-    /// Requests whose prefill completed here.
-    pub prefilled_requests: u64,
-    /// Prompt tokens prefilled here.
-    pub prefill_tokens: u64,
-    /// Iterations executed.
-    pub iterations: u64,
-    /// Local clock at the end of the run.
-    pub end_ms: f64,
-}
-
-/// Outcome of serving one workload on a disaggregated cluster.
-#[derive(Debug, Clone)]
-pub struct DisaggRunResult {
-    /// Decode-side routing policy name.
-    pub decode_router: String,
-    /// All completion records, merged across decode replicas.
-    pub records: Vec<RequestRecord>,
-    /// Per-prefill-replica accounting.
-    pub per_prefill: Vec<PrefillStats>,
-    /// Per-decode-replica results, in replica order.
-    pub per_decode: Vec<ReplicaResult>,
-    /// KV-migration telemetry.
-    pub transfers: TransferStats,
-    /// Global simulation end time (latest clock in either pool).
-    pub end_ms: f64,
-    /// Iterations executed across both pools.
-    pub iterations: u64,
-}
-
-impl DisaggRunResult {
-    /// Fleet-wide SLO report over the merged records.
-    pub fn report(&self) -> SloReport {
-        SloReport::from_records(&self.records)
-    }
-
-    /// Per-decode-replica + merged reports.
-    pub fn cluster_report(&self) -> ClusterReport {
-        ClusterReport::from_streams(
-            self.per_decode
-                .iter()
-                .map(|r| (r.label(), r.result.records.clone()))
-                .collect(),
-        )
-    }
-}
 
 /// A disaggregated cluster: a prefill pool and a decode pool under one
 /// dispatcher and one KV-migration fabric.
 ///
-/// A `DisaggCluster` implements [`Deployment`], so the standard way to
-/// run it is through a [`ServeSession`] (open-loop or online); the legacy
-/// [`DisaggCluster::run`] remains as a deprecated, output-equivalent
-/// shim.
+/// A `DisaggCluster` implements [`Deployment`]; run it through a
+/// [`serving::ServeSession`] (open-loop or online), scaling either pool
+/// with the session's `scale_at` timeline.
 #[derive(Debug)]
 pub struct DisaggCluster {
     prefill: PrefillPool,
-    decode: Vec<Replica>,
+    decode: ReplicaPool,
     dispatcher: Dispatcher,
     transfers: TransferQueue,
-    /// Migrated requests whose decode-side KV reservation failed, parked
-    /// per decode replica until blocks free up.
-    landing: Vec<VecDeque<LiveRequest>>,
-    events: Vec<DisaggScalingEvent>,
     /// Lifecycle announcements of the prefill pool; at handoff a
     /// request's state transfers to its decode replica's own tracker
     /// ([`Replica::mark_admitted`]), so decode replicas can scan — and
@@ -118,14 +44,6 @@ pub struct DisaggCluster {
     /// Per-prefill-core high-water marks (always 0: prefill replicas
     /// produce no completion records; kept so lifecycle scans are uniform).
     prefill_finished_seen: Vec<usize>,
-    /// Driver-level [`ExecMode`] override for decode-pool stepping; when
-    /// unset, [`RunOptions::exec`] (the session's mode) applies. Output
-    /// is record-identical across modes — see [`serving::exec`].
-    exec_override: Option<ExecMode>,
-    /// The persistent worker pool behind [`ExecMode::Sharded`], created
-    /// lazily on the first multi-worker decode batch and reused for every
-    /// batch of every `serve()` call on this cluster.
-    pool: Option<ShardedExecutor>,
     /// Fleet-shared trace sink for prefill-side events (dispatch, chunks,
     /// KV transfers); decode replicas and the dispatcher hold clones of
     /// the same log.
@@ -137,77 +55,6 @@ pub struct DisaggCluster {
     /// set, no transfer departs: the prefill pool freezes as backpressure
     /// — its output has nowhere to go — and resumes when the link heals.
     link_down: bool,
-}
-
-/// One checked decode iteration: stamp migrated requests at the
-/// iteration's start clock, step, enforce the run caps, land parked
-/// migrations freed by finished requests, scan lifecycle. This is the
-/// single body **both** the sequential [`Deployment::step`] decode branch
-/// and the parallel [`decode_run_until`] loop execute, so the two
-/// stepping modes cannot diverge.
-fn decode_step_checked(
-    replica: &mut Replica,
-    landing: &mut VecDeque<LiveRequest>,
-    id: usize,
-    options: &RunOptions,
-    events: &mut Vec<DeploymentEvent>,
-) -> Result<f64, RunError> {
-    replica
-        .engine
-        .core_mut()
-        .stamp_decode_starts(replica.clock_ms);
-    let latency_ms = replica.step_once()?;
-    if replica.engine.core().iterations > options.max_iterations {
-        return Err(RunError::iteration_cap().at(Pool::Decode, id));
-    }
-    if replica.clock_ms > options.max_sim_ms {
-        return Err(RunError::time_cap().at(Pool::Decode, id));
-    }
-    drain_landing_on(replica, landing);
-    replica.scan_lifecycle(ReplicaAddr::serving(id), events);
-    Ok(latency_ms)
-}
-
-/// The per-replica body of parallel decode stepping:
-/// [`decode_step_checked`] looped until the replica reaches `horizon_ms`
-/// or runs out of work.
-fn decode_run_until(
-    replica: &mut Replica,
-    landing: &mut VecDeque<LiveRequest>,
-    id: usize,
-    horizon_ms: f64,
-    options: &RunOptions,
-    events: &mut Vec<DeploymentEvent>,
-) -> Result<(), RunError> {
-    while replica.has_work() && replica.clock_ms < horizon_ms {
-        decode_step_checked(replica, landing, id, options, events)?;
-    }
-    Ok(())
-}
-
-/// Tries to land every migration parked for `replica`. An admitted
-/// request leaves the replica's inbound view — the engine's own queues
-/// carry it from here. Free-standing so parallel decode workers can call
-/// it on their disjoint (replica, landing-queue) pairs.
-fn drain_landing_on(replica: &mut Replica, landing: &mut VecDeque<LiveRequest>) {
-    while let Some(req) = landing.pop_front() {
-        let tokens = u64::from(req.remaining());
-        let slo = req.spec.tpot_slo_ms;
-        match replica.engine.core_mut().admit_migrated(req) {
-            Ok(()) => {
-                let inbound = &mut replica.inbound;
-                inbound.requests -= 1;
-                inbound.decode_tokens = inbound.decode_tokens.saturating_sub(tokens);
-                if let Some(k) = inbound.tpot_slos.iter().position(|&s| s == slo) {
-                    inbound.tpot_slos.swap_remove(k);
-                }
-            }
-            Err(req) => {
-                landing.push_front(req);
-                break;
-            }
-        }
-    }
 }
 
 impl DisaggCluster {
@@ -226,7 +73,6 @@ impl DisaggCluster {
         dispatcher: Dispatcher,
         link: KvLink,
     ) -> Self {
-        assert!(!decode_engines.is_empty(), "decode pool needs a replica");
         let kv_bytes = prefill.replicas[0]
             .core
             .config
@@ -236,22 +82,13 @@ impl DisaggCluster {
             .kv_bytes_per_token();
         let n_decode = decode_engines.len();
         let n_prefill = prefill.replicas.len();
-        let decode: Vec<Replica> = decode_engines
-            .into_iter()
-            .enumerate()
-            .map(|(id, engine)| Replica::new(id, engine))
-            .collect();
         Self {
             prefill,
-            decode,
+            decode: ReplicaPool::new(decode_engines).migrated(),
             dispatcher,
             transfers: TransferQueue::new(link, kv_bytes, n_decode),
-            landing: (0..n_decode).map(|_| VecDeque::new()).collect(),
-            events: Vec::new(),
             prefill_tracker: LifecycleTracker::default(),
             prefill_finished_seen: vec![0; n_prefill],
-            exec_override: None,
-            pool: None,
             tracer: Tracer::off(),
             prefill_started: HashSet::new(),
             link_down: false,
@@ -272,44 +109,8 @@ impl DisaggCluster {
     /// routing state).
     #[must_use]
     pub fn with_exec_mode(mut self, exec: ExecMode) -> Self {
-        self.exec_override = Some(exec);
+        self.decode.set_exec_mode(exec);
         self
-    }
-
-    /// Enables/disables parallel decode-pool stepping.
-    ///
-    /// # Deprecated
-    ///
-    /// This maps to [`DisaggCluster::with_exec_mode`] with
-    /// [`ExecMode::Sharded`] / [`ExecMode::Sequential`]:
-    ///
-    /// ```
-    /// use disagg::DisaggCluster;
-    /// use serving::ExecMode;
-    ///
-    /// // before: cluster.with_parallel_stepping(parallel)
-    /// fn migrated(cluster: DisaggCluster, parallel: bool) -> DisaggCluster {
-    ///     cluster.with_exec_mode(if parallel {
-    ///         ExecMode::Sharded { workers: None }
-    ///     } else {
-    ///         ExecMode::Sequential
-    ///     })
-    /// }
-    /// ```
-    ///
-    /// Note that the thread-per-step design this flag used to toggle
-    /// *lost* to sequential stepping at small fleets (see the historical
-    /// `BENCH_perf.json` 4-replica rows) — the persistent sharded
-    /// executor behind `ExecMode` is what makes batched stepping win; see
-    /// `BENCH_fleet_scaling.json` for the measured crossover.
-    #[deprecated(note = "use `with_exec_mode(ExecMode::…)` instead")]
-    #[must_use]
-    pub fn with_parallel_stepping(self, parallel: bool) -> Self {
-        self.with_exec_mode(if parallel {
-            ExecMode::Sharded { workers: None }
-        } else {
-            ExecMode::Sequential
-        })
     }
 
     /// Worker threads held by the persistent decode-stepping pool (0
@@ -317,34 +118,13 @@ impl DisaggCluster {
     /// assert the pool is reused across `serve()` calls rather than
     /// leaked.
     pub fn worker_pool_size(&self) -> usize {
-        self.pool.as_ref().map_or(0, ShardedExecutor::workers)
-    }
-
-    /// Schedules elastic-scaling (drain/join) events on either pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event names a replica outside its pool.
-    pub fn with_events(mut self, mut events: Vec<DisaggScalingEvent>) -> Self {
-        for e in &events {
-            let len = match e.pool {
-                Pool::Prefill => self.prefill.replicas.len(),
-                Pool::Decode => self.decode.len(),
-            };
-            assert!(e.replica < len, "event names no replica in its pool");
-        }
-        events.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
-        self.events = events;
-        self
+        self.decode.worker_pool_size()
     }
 
     /// The slowest decode replica's baseline decode latency (workloads
     /// should resolve baseline-relative SLOs against this).
     pub fn decode_max_baseline_ms(&self) -> f64 {
-        self.decode
-            .iter()
-            .map(Replica::baseline_ms)
-            .fold(0.0, f64::max)
+        self.decode.max_baseline_ms()
     }
 
     /// Read-only view of the prefill pool.
@@ -354,109 +134,13 @@ impl DisaggCluster {
 
     /// Read-only view of the decode pool.
     pub fn decode_replicas(&self) -> &[Replica] {
-        &self.decode
-    }
-
-    /// Indices of decode replicas accepting migrations; the whole pool
-    /// when everything is draining (degrade, don't drop).
-    fn decode_eligible(&self) -> Vec<usize> {
-        cluster::accepting_or_all(self.decode.iter().map(|r| r.accepting && !r.down))
-    }
-
-    /// Tries to land every parked migration on decode replica `id` (see
-    /// [`drain_landing_on`]).
-    fn drain_landing(&mut self, id: usize) {
-        drain_landing_on(&mut self.decode[id], &mut self.landing[id]);
+        self.decode.replicas()
     }
 
     /// KV-migration telemetry accumulated so far (for inspection after a
     /// session run recovers the cluster via `ServeSession::into_inner`).
     pub fn transfer_stats(&self) -> TransferStats {
         self.transfers.stats
-    }
-
-    /// Serves `workload` to completion across both pools.
-    ///
-    /// # Deprecated
-    ///
-    /// This is now a thin shim over the unified front door — a
-    /// [`ServeSession`] driving this cluster as a [`Deployment`] — which
-    /// additionally supports mid-run submission and scaling. Output is
-    /// equivalent (see `tests/output_equivalence.rs`). Migrate by
-    /// wrapping the same cluster; scheduled
-    /// [`DisaggCluster::with_events`] scaling becomes `scale_at` calls on
-    /// the session's timeline (addressing either pool):
-    ///
-    /// ```
-    /// use disagg::{DisaggCluster, DisaggScalingEvent};
-    /// use serving::{ReplicaAddr, RunError, RunOptions, RunReport, ServeSession};
-    /// use workload::Workload;
-    ///
-    /// // before: cluster.with_events(events).run(workload, options)?
-    /// fn migrated(
-    ///     cluster: DisaggCluster,
-    ///     events: Vec<DisaggScalingEvent>,
-    ///     workload: &Workload,
-    ///     options: RunOptions,
-    /// ) -> Result<RunReport, RunError> {
-    ///     let mut session = ServeSession::with_options(cluster, options);
-    ///     for e in events {
-    ///         let addr = ReplicaAddr { pool: e.pool, index: e.replica };
-    ///         session.scale_at(e.at_ms, addr, e.action);
-    ///     }
-    ///     session.serve(workload)
-    /// }
-    /// ```
-    #[deprecated(note = "drive a `serving::ServeSession` over this `DisaggCluster` instead")]
-    pub fn run(
-        mut self,
-        workload: &Workload,
-        options: RunOptions,
-    ) -> Result<DisaggRunResult, RunError> {
-        let events = std::mem::take(&mut self.events);
-        let mut session = ServeSession::with_options(self, options).admission_control(false);
-        for e in events {
-            session.scale_at(
-                e.at_ms,
-                ReplicaAddr {
-                    pool: e.pool,
-                    index: e.replica,
-                },
-                e.action,
-            );
-        }
-        let report = session.serve(workload)?;
-        let cluster = session.into_inner();
-        let per_prefill: Vec<PrefillStats> = report
-            .prefill_units()
-            .map(|u| PrefillStats {
-                replica: u.replica.index,
-                routed: u.routed,
-                prefilled_requests: u.prefilled_requests,
-                prefill_tokens: u.prefill_tokens,
-                iterations: u.result.iterations,
-                end_ms: u.result.end_ms,
-            })
-            .collect();
-        let per_decode: Vec<ReplicaResult> = report
-            .units
-            .into_iter()
-            .filter(|u| u.replica.pool == Pool::Decode)
-            .map(|u| ReplicaResult {
-                replica: u.replica.index,
-                routed: u.routed,
-                result: u.result,
-            })
-            .collect();
-        Ok(DisaggRunResult {
-            decode_router: report.deployment,
-            records: report.records,
-            per_prefill,
-            per_decode,
-            transfers: cluster.transfers.stats,
-            end_ms: report.end_ms,
-            iterations: report.iterations,
-        })
     }
 
     /// The earliest prefill replica ready to iterate. Down replicas are
@@ -474,50 +158,147 @@ impl DisaggCluster {
             .map(|r| (r.clock_ms, r.id))
     }
 
-    /// The earliest decode replica ready to iterate (down replicas are
-    /// frozen until the session clears their crash).
-    fn decode_stepper(&self) -> Option<(f64, usize)> {
-        self.decode
-            .iter()
-            .filter(|r| r.has_work() && !r.down)
-            .min_by(|a, b| a.clock_ms.total_cmp(&b.clock_ms).then(a.id.cmp(&b.id)))
-            .map(|r| (r.clock_ms, r.id))
-    }
-
     /// Rolls one aborted transfer out of its destination's inbound load
     /// view and lifecycle memory, returning the lost request's spec.
     fn roll_back_aborted(&mut self, transfer: KvTransfer) -> RequestSpec {
-        let to = transfer.to_decode;
-        let inbound = &mut self.decode[to].inbound;
-        inbound.requests = inbound.requests.saturating_sub(1);
-        inbound.decode_tokens = inbound
-            .decode_tokens
-            .saturating_sub(u64::from(transfer.request.remaining()));
-        let slo = transfer.request.spec.tpot_slo_ms;
-        if let Some(k) = inbound.tpot_slos.iter().position(|&s| s == slo) {
-            inbound.tpot_slos.swap_remove(k);
+        let req = transfer.request;
+        let to = self.decode.replica_mut(transfer.to_decode);
+        to.inbound.remove(req.remaining(), req.spec.tpot_slo_ms);
+        to.forget(req.spec.id);
+        self.prefill_started.remove(&req.spec.id);
+        req.spec
+    }
+
+    /// One prefill iteration on replica `id`: completed prompts are
+    /// routed to a decode replica and start migrating.
+    fn prefill_step(
+        &mut self,
+        id: usize,
+        options: &RunOptions,
+    ) -> Result<DeploymentStep, RunError> {
+        let mut events = Vec::new();
+        let before = self.prefill.replicas[id].clock_ms;
+        let tokens_before = self.prefill.replicas[id].prefill_tokens;
+        let done = self.prefill.replicas[id].step()?;
+        let now = self.prefill.replicas[id].clock_ms;
+        if self.tracer.enabled() {
+            let r = &self.prefill.replicas[id];
+            let replica = TraceReplica::prefill(id);
+            for req in r
+                .core
+                .running
+                .iter()
+                .map(|q| q.spec.id)
+                .chain(done.iter().map(|q| q.spec.id))
+            {
+                if self.prefill_started.insert(req) {
+                    self.tracer
+                        .record(now, EventKind::PrefillStart { id: req, replica });
+                }
+            }
+            let tokens = r.prefill_tokens - tokens_before;
+            if tokens > 0 {
+                self.tracer.record(
+                    now,
+                    EventKind::PrefillChunk {
+                        replica,
+                        requests: r.core.running.len() + done.len(),
+                        tokens,
+                        latency_ms: now - before,
+                    },
+                );
+            }
         }
-        self.decode[to].forget(transfer.request.spec.id);
-        self.prefill_started.remove(&transfer.request.spec.id);
-        transfer.request.spec
+        if self.prefill.replicas[id].iterations > options.max_iterations {
+            return Err(RunError::iteration_cap().at(Pool::Prefill, id));
+        }
+        if now > options.max_sim_ms {
+            return Err(RunError::time_cap().at(Pool::Prefill, id));
+        }
+        let eligible = self.decode.eligible();
+        for req in done {
+            // A prompt admitted and fully prefilled within one
+            // iteration never appeared in a running-batch scan:
+            // announce its admission at handoff.
+            self.prefill_tracker
+                .admit(req.spec.id, ReplicaAddr::prefill(id), now, &mut events);
+            // Route at the transfer's estimated arrival (wire time
+            // is destination-independent; ingress queueing is not
+            // foreseeable before a destination is chosen), so the
+            // remaining-TPOT shading charges the migration delay.
+            let est_arrival = now + self.transfers.wire_ms(req.context_len());
+            let to =
+                self.dispatcher
+                    .route_decode(&req, est_arrival, self.decode.replicas(), &eligible);
+            // Count the migration against the destination's load
+            // view immediately, so the next handoff in this burst
+            // (and any until the transfer lands) sees it instead
+            // of dogpiling one replica's ingress link.
+            let dest = self.decode.replica_mut(to);
+            dest.inbound.requests += 1;
+            dest.inbound.decode_tokens += u64::from(req.remaining());
+            dest.inbound.tpot_slos.push(req.spec.tpot_slo_ms);
+            // Admission state travels with the request: the decode
+            // tracker must not re-announce it, and the prefill
+            // tracker can drop it (bounded sets).
+            dest.mark_admitted(req.spec.id);
+            self.prefill_tracker.forget(req.spec.id);
+            let req_id = req.spec.id;
+            let bytes = u64::from(req.context_len()) * self.transfers.kv_bytes_per_token();
+            let arrive_ms = self.transfers.enqueue(req, id, to, now);
+            if self.tracer.enabled() {
+                self.prefill_started.remove(&req_id);
+                // The ingress link serializes per destination, so the
+                // transfer may start occupying the wire after `now`.
+                let start_ms = arrive_ms - self.transfers.wire_ms_for_bytes(bytes);
+                self.tracer.record(
+                    now,
+                    EventKind::KvTransfer {
+                        id: req_id,
+                        from_prefill: id,
+                        to_decode: to,
+                        bytes,
+                        start_ms,
+                        arrive_ms,
+                    },
+                );
+            }
+        }
+        self.prefill_tracker.scan_core(
+            &self.prefill.replicas[id].core,
+            ReplicaAddr::prefill(id),
+            now,
+            &mut self.prefill_finished_seen[id],
+            &mut events,
+        );
+        Ok(DeploymentStep {
+            events,
+            latency_ms: Some(now - before),
+            replica: Some(ReplicaAddr::prefill(id)),
+        })
+    }
+
+    /// Lands every transfer arriving at `at_ms` on its decode replica.
+    /// Landed transfers are bookkeeping, not an engine iteration: no
+    /// latency for the progress guard.
+    fn land_transfers(&mut self, at_ms: f64) -> DeploymentStep {
+        for transfer in self.transfers.pop_arrivals(at_ms) {
+            let r = self.decode.replica_mut(transfer.to_decode);
+            // Wire time lands on the destination's latency breakdown
+            // (breakdowns are run telemetry, not per-request records,
+            // so record output stays identical with tracing off).
+            r.engine.core_mut().breakdown.kv_transfer_ms +=
+                (transfer.arrive_ms - transfer.start_ms).max(0.0);
+            r.clock_ms = r.clock_ms.max(transfer.arrive_ms);
+            r.routed += 1;
+            r.land(transfer.request);
+        }
+        DeploymentStep::default()
     }
 }
 
-/// One decode replica's share of a sharded stepping batch: exclusive
-/// access to the replica and its landing queue plus a private event
-/// buffer and result slot, merged in replica-index order once the batch
-/// completes.
-struct DecodeTask<'a> {
-    id: usize,
-    replica: &'a mut Replica,
-    landing: &'a mut VecDeque<LiveRequest>,
-    events: Vec<DeploymentEvent>,
-    result: Result<(), RunError>,
-}
-
 impl Deployment for DisaggCluster {
-    /// The decode-side routing policy's name (the label legacy disagg
-    /// results carried).
+    /// The decode-side routing policy's name.
     fn name(&self) -> String {
         self.dispatcher.decode_router_name()
     }
@@ -531,13 +312,7 @@ impl Deployment for DisaggCluster {
             .replicas
             .iter()
             .map(|r| r.core.kv_capacity_tokens())
-            .chain(
-                self.decode
-                    .iter()
-                    .map(|r| r.engine.core().kv_capacity_tokens()),
-            )
-            .min()
-            .expect("both pools are non-empty")
+            .fold(self.decode.kv_capacity_tokens(), u64::min)
     }
 
     /// The longest cached prefix across the *prefill* pool (where prompts
@@ -591,7 +366,7 @@ impl Deployment for DisaggCluster {
     fn next_event_ms(&self) -> Option<f64> {
         let t_xfer = self.transfers.next_arrival_ms().unwrap_or(f64::INFINITY);
         let t_pre = self.prefill_stepper().map_or(f64::INFINITY, |(t, _)| t);
-        let t_dec = self.decode_stepper().map_or(f64::INFINITY, |(t, _)| t);
+        let t_dec = self.decode.next_event_ms().unwrap_or(f64::INFINITY);
         let t = t_xfer.min(t_pre).min(t_dec);
         (!t.is_infinite()).then_some(t)
     }
@@ -599,172 +374,26 @@ impl Deployment for DisaggCluster {
     /// Internal event ordering at equal timestamps: KV-transfer arrivals
     /// first (migrated requests join decode batches before the batch
     /// steps), then the earliest-clock replica iterates (prefill before
-    /// decode on exact clock ties) — the same order the legacy driver
-    /// used.
+    /// decode on exact clock ties).
     fn step(&mut self, options: &RunOptions) -> Result<DeploymentStep, RunError> {
         let t_xfer = self.transfers.next_arrival_ms().unwrap_or(f64::INFINITY);
         let pre_stepper = self.prefill_stepper();
         let t_pre = pre_stepper.map_or(f64::INFINITY, |(t, _)| t);
-        let dec_stepper = self.decode_stepper();
-        let t_dec = dec_stepper.map_or(f64::INFINITY, |(t, _)| t);
-        let mut events = Vec::new();
-
+        let t_dec = self.decode.next_event_ms().unwrap_or(f64::INFINITY);
         if t_xfer <= t_pre.min(t_dec) {
-            // Landed transfers are bookkeeping, not an engine iteration:
-            // no latency for the progress guard.
-            for transfer in self.transfers.pop_arrivals(t_xfer) {
-                let id = transfer.to_decode;
-                let r = &mut self.decode[id];
-                // Wire time lands on the destination's latency breakdown
-                // (breakdowns are run telemetry, not per-request records,
-                // so record output stays identical with tracing off).
-                r.engine.core_mut().breakdown.kv_transfer_ms +=
-                    (transfer.arrive_ms - transfer.start_ms).max(0.0);
-                r.clock_ms = r.clock_ms.max(transfer.arrive_ms);
-                r.routed += 1;
-                self.landing[id].push_back(transfer.request);
-                self.drain_landing(id);
-            }
-            return Ok(DeploymentStep {
-                events,
-                latency_ms: None,
-                replica: None,
-            });
+            return Ok(self.land_transfers(t_xfer));
         }
-
-        if t_pre <= t_dec {
-            // Prefill iteration; completed prompts start migrating.
-            let (_, id) = pre_stepper.expect("t_pre was finite");
-            let before = self.prefill.replicas[id].clock_ms;
-            let tokens_before = self.prefill.replicas[id].prefill_tokens;
-            let done = self.prefill.replicas[id].step()?;
-            let now = self.prefill.replicas[id].clock_ms;
-            if self.tracer.enabled() {
-                let r = &self.prefill.replicas[id];
-                let replica = TraceReplica::prefill(id);
-                for req in r
-                    .core
-                    .running
-                    .iter()
-                    .map(|q| q.spec.id)
-                    .chain(done.iter().map(|q| q.spec.id))
-                {
-                    if self.prefill_started.insert(req) {
-                        self.tracer
-                            .record(now, EventKind::PrefillStart { id: req, replica });
-                    }
-                }
-                let tokens = r.prefill_tokens - tokens_before;
-                if tokens > 0 {
-                    self.tracer.record(
-                        now,
-                        EventKind::PrefillChunk {
-                            replica,
-                            requests: r.core.running.len() + done.len(),
-                            tokens,
-                            latency_ms: now - before,
-                        },
-                    );
-                }
-            }
-            if self.prefill.replicas[id].iterations > options.max_iterations {
-                return Err(RunError::iteration_cap().at(Pool::Prefill, id));
-            }
-            if now > options.max_sim_ms {
-                return Err(RunError::time_cap().at(Pool::Prefill, id));
-            }
-            let eligible = self.decode_eligible();
-            for req in done {
-                // A prompt admitted and fully prefilled within one
-                // iteration never appeared in a running-batch scan:
-                // announce its admission at handoff.
-                self.prefill_tracker
-                    .admit(req.spec.id, ReplicaAddr::prefill(id), now, &mut events);
-                // Route at the transfer's estimated arrival (wire time
-                // is destination-independent; ingress queueing is not
-                // foreseeable before a destination is chosen), so the
-                // remaining-TPOT shading charges the migration delay.
-                let est_arrival = now + self.transfers.wire_ms(req.context_len());
-                let to = self
-                    .dispatcher
-                    .route_decode(&req, est_arrival, &self.decode, &eligible);
-                // Count the migration against the destination's load
-                // view immediately, so the next handoff in this burst
-                // (and any until the transfer lands) sees it instead
-                // of dogpiling one replica's ingress link.
-                let inbound = &mut self.decode[to].inbound;
-                inbound.requests += 1;
-                inbound.decode_tokens += u64::from(req.remaining());
-                inbound.tpot_slos.push(req.spec.tpot_slo_ms);
-                // Admission state travels with the request: the decode
-                // tracker must not re-announce it, and the prefill
-                // tracker can drop it (bounded sets).
-                self.decode[to].mark_admitted(req.spec.id);
-                self.prefill_tracker.forget(req.spec.id);
-                let req_id = req.spec.id;
-                let bytes = u64::from(req.context_len()) * self.transfers.kv_bytes_per_token();
-                let arrive_ms = self.transfers.enqueue(req, id, to, now);
-                if self.tracer.enabled() {
-                    self.prefill_started.remove(&req_id);
-                    // The ingress link serializes per destination, so the
-                    // transfer may start occupying the wire after `now`.
-                    let start_ms = arrive_ms - self.transfers.wire_ms_for_bytes(bytes);
-                    self.tracer.record(
-                        now,
-                        EventKind::KvTransfer {
-                            id: req_id,
-                            from_prefill: id,
-                            to_decode: to,
-                            bytes,
-                            start_ms,
-                            arrive_ms,
-                        },
-                    );
-                }
-            }
-            self.prefill_tracker.scan_core(
-                &self.prefill.replicas[id].core,
-                ReplicaAddr::prefill(id),
-                now,
-                &mut self.prefill_finished_seen[id],
-                &mut events,
-            );
-            return Ok(DeploymentStep {
-                events,
-                latency_ms: Some(now - before),
-                replica: Some(ReplicaAddr::prefill(id)),
-            });
+        match pre_stepper {
+            Some((_, id)) if t_pre <= t_dec => self.prefill_step(id, options),
+            _ => self.decode.step(options),
         }
-
-        // Decode iteration. Migrated requests sitting in the batch are
-        // stamped *before* the step, at the iteration's start clock —
-        // the colocated semantics of `decode_start_ms` ("time the first
-        // decode iteration started"), which engines whose own stamping
-        // assumes a local prefill pass cannot provide for them. The
-        // shared [`decode_step_checked`] body keeps this path identical
-        // to parallel batch stepping.
-        let (_, id) = dec_stepper.expect("t_dec was finite");
-        let latency_ms = decode_step_checked(
-            &mut self.decode[id],
-            &mut self.landing[id],
-            id,
-            options,
-            &mut events,
-        )?;
-        Ok(DeploymentStep {
-            events,
-            latency_ms: Some(latency_ms),
-            replica: Some(ReplicaAddr::serving(id)),
-        })
     }
 
-    /// Sharded decode-pool batch: decode replicas interact with the rest
+    /// Decode-pool batch stepping: decode replicas interact with the rest
     /// of the system only at KV-transfer landings and prefill routing
     /// reads, so between now and the earliest of (external horizon, next
     /// transfer arrival, next prefill iteration) each due decode replica
-    /// advances independently — distributed over the persistent
-    /// [`ShardedExecutor`] (or inline on the caller when one worker
-    /// suffices) — and results merge in replica-index order.
+    /// advances independently (see [`ReplicaPool::step_batch`]).
     /// Prefill/transfer events fall back to the sequential
     /// [`Deployment::step`].
     fn step_until(
@@ -772,72 +401,13 @@ impl Deployment for DisaggCluster {
         horizon_ms: f64,
         options: &RunOptions,
     ) -> Result<DeploymentStep, RunError> {
-        let mode = self.exec_override.unwrap_or(options.exec);
         let t_xfer = self.transfers.next_arrival_ms().unwrap_or(f64::INFINITY);
         let t_pre = self.prefill_stepper().map_or(f64::INFINITY, |(t, _)| t);
         let decode_horizon = horizon_ms.min(t_xfer).min(t_pre);
-        let due = self
-            .decode
-            .iter()
-            .filter(|r| r.has_work() && !r.down && r.clock_ms < decode_horizon)
-            .count();
-        if mode == ExecMode::Sequential || due <= 1 {
-            return self.step(options);
+        match self.decode.step_batch(decode_horizon, options)? {
+            Some(step) => Ok(step),
+            None => self.step(options),
         }
-        let mut tasks: Vec<Mutex<DecodeTask<'_>>> = self
-            .decode
-            .iter_mut()
-            .zip(self.landing.iter_mut())
-            .enumerate()
-            .filter(|(_, (r, _))| r.has_work() && !r.down && r.clock_ms < decode_horizon)
-            .map(|(id, (replica, landing))| {
-                Mutex::new(DecodeTask {
-                    id,
-                    replica,
-                    landing,
-                    events: Vec::new(),
-                    result: Ok(()),
-                })
-            })
-            .collect();
-        let run_one = |i: usize| {
-            // Uncontended: shard claiming hands each index to exactly one
-            // worker; the mutex only makes that exclusivity checkable.
-            let mut task = tasks[i].lock().expect("decode task");
-            let task = &mut *task;
-            task.result = decode_run_until(
-                task.replica,
-                task.landing,
-                task.id,
-                decode_horizon,
-                options,
-                &mut task.events,
-            );
-        };
-        let workers = mode.effective_workers();
-        if workers <= 1 {
-            for i in 0..tasks.len() {
-                run_one(i);
-            }
-        } else {
-            if self.pool.as_ref().is_some_and(|p| p.workers() != workers) {
-                self.pool = None;
-            }
-            self.pool
-                .get_or_insert_with(|| ShardedExecutor::new(workers))
-                .run(tasks.len(), run_one);
-        }
-        let mut events = Vec::new();
-        for task in tasks.drain(..) {
-            let task = task.into_inner().expect("decode task");
-            task.result?;
-            events.extend(task.events);
-        }
-        Ok(DeploymentStep {
-            events,
-            latency_ms: None,
-            replica: None,
-        })
     }
 
     fn set_accepting(&mut self, replica: ReplicaAddr, accepting: bool, now_ms: f64) {
@@ -847,57 +417,42 @@ impl Deployment for DisaggCluster {
                 r.accepting = accepting;
                 r.clock_ms = r.clock_ms.max(now_ms);
             }
-            Pool::Decode => {
-                let r = &mut self.decode[replica.index];
-                r.accepting = accepting;
-                r.clock_ms = r.clock_ms.max(now_ms);
-            }
+            Pool::Decode => self.decode.set_accepting(replica, accepting, now_ms),
         }
     }
 
     fn inject_fault(&mut self, fault: &FaultKind, now_ms: f64) -> Vec<RequestSpec> {
+        let prefill_target = |addr: &ReplicaAddr| {
+            (addr.pool == Pool::Prefill && addr.index < self.prefill.replicas.len())
+                .then_some(addr.index)
+        };
         match fault {
-            FaultKind::ReplicaCrash { replica, .. } => match replica.pool {
-                Pool::Decode if replica.index < self.decode.len() => {
-                    let i = replica.index;
-                    let mut lost = self.decode[i].crash(now_ms);
-                    // Migrations parked on its landing queue lose their KV
-                    // with the rest of device memory…
-                    for req in std::mem::take(&mut self.landing[i]) {
-                        self.decode[i].forget(req.spec.id);
-                        lost.push(req.spec);
-                    }
-                    // …and transfers streaming toward it abort mid-wire.
-                    for transfer in self.transfers.abort_to(i) {
-                        lost.push(self.roll_back_aborted(transfer));
-                    }
-                    // Every inbound unit was parked or in flight: none left.
-                    self.decode[i].inbound = InboundWork::default();
-                    lost
-                }
-                Pool::Prefill if replica.index < self.prefill.replicas.len() => {
-                    let lost = self.prefill.replicas[replica.index].crash(now_ms);
+            FaultKind::ReplicaCrash { replica, .. } => {
+                if let Some(i) = prefill_target(replica) {
+                    let lost = self.prefill.replicas[i].crash(now_ms);
                     for spec in &lost {
                         self.prefill_tracker.forget(spec.id);
                         self.prefill_started.remove(&spec.id);
                     }
-                    lost
+                    return lost;
                 }
-                _ => Vec::new(),
-            },
+                let mut lost = self.decode.inject_fault(fault, now_ms);
+                if replica.pool == Pool::Decode && replica.index < self.decode.replicas().len() {
+                    // Transfers streaming toward the dead replica abort
+                    // mid-wire.
+                    for transfer in self.transfers.abort_to(replica.index) {
+                        lost.push(self.roll_back_aborted(transfer));
+                    }
+                }
+                lost
+            }
             FaultKind::SlowReplica {
                 replica, factor, ..
             } => {
-                match replica.pool {
-                    Pool::Decode if replica.index < self.decode.len() => {
-                        self.decode[replica.index].latency_factor = *factor;
-                    }
-                    Pool::Prefill if replica.index < self.prefill.replicas.len() => {
-                        self.prefill.replicas[replica.index].latency_factor = *factor;
-                    }
-                    _ => {}
+                if let Some(i) = prefill_target(replica) {
+                    self.prefill.replicas[i].latency_factor = *factor;
                 }
-                Vec::new()
+                self.decode.inject_fault(fault, now_ms)
             }
             FaultKind::LinkDegrade { factor, .. } => {
                 self.transfers.set_wire_factor(*factor);
@@ -915,25 +470,16 @@ impl Deployment for DisaggCluster {
     }
 
     fn clear_fault(&mut self, fault: &FaultKind, now_ms: f64) {
+        if let Some(addr) = fault.replica().filter(|a| a.pool == Pool::Prefill) {
+            if let Some(r) = self.prefill.replicas.get_mut(addr.index) {
+                match fault {
+                    FaultKind::ReplicaCrash { .. } => r.recover(now_ms),
+                    _ => r.latency_factor = 1.0,
+                }
+            }
+            return;
+        }
         match fault {
-            FaultKind::ReplicaCrash { replica, .. } => match replica.pool {
-                Pool::Decode if replica.index < self.decode.len() => {
-                    self.decode[replica.index].recover(now_ms);
-                }
-                Pool::Prefill if replica.index < self.prefill.replicas.len() => {
-                    self.prefill.replicas[replica.index].recover(now_ms);
-                }
-                _ => {}
-            },
-            FaultKind::SlowReplica { replica, .. } => match replica.pool {
-                Pool::Decode if replica.index < self.decode.len() => {
-                    self.decode[replica.index].latency_factor = 1.0;
-                }
-                Pool::Prefill if replica.index < self.prefill.replicas.len() => {
-                    self.prefill.replicas[replica.index].latency_factor = 1.0;
-                }
-                _ => {}
-            },
             FaultKind::LinkDegrade { .. } => self.transfers.set_wire_factor(1.0),
             FaultKind::LinkOutage { .. } => {
                 self.link_down = false;
@@ -943,14 +489,15 @@ impl Deployment for DisaggCluster {
                     r.clock_ms = r.clock_ms.max(now_ms);
                 }
             }
+            FaultKind::ReplicaCrash { .. } | FaultKind::SlowReplica { .. } => {
+                self.decode.clear_fault(fault, now_ms);
+            }
         }
     }
 
     fn set_degraded(&mut self, degraded: bool) {
         // Speculation happens on the decode pool only.
-        for r in &mut self.decode {
-            r.engine.core_mut().degraded = degraded;
-        }
+        self.decode.set_degraded(degraded);
     }
 
     fn iterations(&self) -> u64 {
@@ -958,14 +505,12 @@ impl Deployment for DisaggCluster {
             .replicas
             .iter()
             .map(|r| r.iterations)
-            .chain(self.decode.iter().map(|r| r.engine.core().iterations))
-            .sum()
+            .sum::<u64>()
+            + self.decode.iterations()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        for r in &mut self.decode {
-            r.set_tracer(tracer.clone());
-        }
+        self.decode.set_tracer(&tracer);
         self.dispatcher.set_tracer(tracer.clone());
         self.tracer = tracer;
     }
@@ -974,23 +519,9 @@ impl Deployment for DisaggCluster {
     /// replica (prefill and decode), KV occupancy reports the fullest
     /// replica, and the cache hit rate pools the per-core counters.
     fn gauges(&self) -> GaugeSample {
-        let mut sample = GaugeSample::default();
-        let mut hot = HotLoopStats::default();
-        let cores = self
-            .prefill
-            .replicas
-            .iter()
-            .map(|r| &r.core)
-            .chain(self.decode.iter().map(|r| r.engine.core()));
-        for core in cores {
-            let g = core_gauges(core);
-            sample.queue_depth += g.queue_depth;
-            sample.in_flight += g.in_flight;
-            sample.kv_occupancy_pct = sample.kv_occupancy_pct.max(g.kv_occupancy_pct);
-            hot.merge(&core.hotloop);
-        }
-        sample.cache_hit_rate_pct = hot.prefix_hit_rate_pct();
-        sample
+        let prefill = self.prefill.replicas.iter().map(|r| &r.core);
+        let decode = self.decode.replicas().iter().map(|r| r.engine.core());
+        fleet_gauges(prefill.chain(decode))
     }
 
     fn clock_ms(&self) -> f64 {
@@ -998,26 +529,13 @@ impl Deployment for DisaggCluster {
             .replicas
             .iter()
             .map(|r| r.clock_ms)
-            .chain(self.decode.iter().map(|r| r.clock_ms))
-            .fold(0.0, f64::max)
+            .fold(self.decode.clock_ms(), f64::max)
     }
 
     fn drain(&mut self) -> Result<Vec<UnitStats>, RunError> {
-        // A migration still parked once everything else drained can never
-        // be admitted (its context exceeds the replica's whole pool):
-        // error out cleanly, as the colocated driver does for oversized
-        // requests.
-        if let Some((id, parked)) = self
-            .landing
-            .iter()
-            .enumerate()
-            .find(|(_, parked)| !parked.is_empty())
-        {
-            let request = parked.front().expect("non-empty").spec.id;
-            return Err(RunError::kv_capacity()
-                .at(Pool::Decode, id)
-                .for_request(request));
-        }
+        // The decode pool errors out if a parked migration can never be
+        // admitted (its context exceeds the replica's whole pool).
+        let decode = self.decode.drain()?;
         let mut units: Vec<UnitStats> = self
             .prefill
             .replicas
@@ -1038,13 +556,7 @@ impl Deployment for DisaggCluster {
                 prefill_tokens: r.prefill_tokens,
             })
             .collect();
-        units.extend(self.decode.iter_mut().map(|r| UnitStats {
-            replica: ReplicaAddr::serving(r.id),
-            routed: r.routed,
-            result: r.finalize(),
-            prefilled_requests: 0,
-            prefill_tokens: 0,
-        }));
+        units.extend(decode);
         Ok(units)
     }
 }
@@ -1054,8 +566,8 @@ mod tests {
     use super::*;
     use crate::dispatch::Dispatcher;
     use cluster::RouterKind;
-    use serving::{RunErrorKind, RunReport, SystemConfig};
-    use workload::{Category, RequestSpec};
+    use serving::{RunErrorKind, RunReport, ScalePlan, ServeSession, SystemConfig};
+    use workload::{Category, RequestSpec, Workload};
 
     fn tiny_workload(n: u64, gap_ms: f64) -> Workload {
         let requests = (0..n)
@@ -1101,20 +613,13 @@ mod tests {
     /// the recovered cluster (for transfer telemetry).
     fn serve_disagg(
         cluster: DisaggCluster,
-        events: Vec<DisaggScalingEvent>,
+        plans: Vec<ScalePlan>,
         workload: &Workload,
         options: RunOptions,
     ) -> Result<(RunReport, DisaggCluster), RunError> {
         let mut session = ServeSession::with_options(cluster, options);
-        for e in events {
-            session.scale_at(
-                e.at_ms,
-                ReplicaAddr {
-                    pool: e.pool,
-                    index: e.replica,
-                },
-                e.action,
-            );
+        for p in plans {
+            session.scale_at(p.at_ms, p.replica, p.action);
         }
         let report = session.serve(workload)?;
         Ok((report, session.into_inner()))
@@ -1180,10 +685,9 @@ mod tests {
         let wl = tiny_workload(6, 30.0);
         let (result, _) = serve_disagg(
             cluster(2, 1),
-            vec![DisaggScalingEvent {
+            vec![ScalePlan {
                 at_ms: -1.0,
-                pool: Pool::Prefill,
-                replica: 1,
+                replica: ReplicaAddr::prefill(1),
                 action: ScalingAction::Drain,
             }],
             &wl,
@@ -1201,10 +705,9 @@ mod tests {
         let wl = tiny_workload(6, 30.0);
         let (result, _) = serve_disagg(
             cluster(1, 2),
-            vec![DisaggScalingEvent {
+            vec![ScalePlan {
                 at_ms: -1.0,
-                pool: Pool::Decode,
-                replica: 0,
+                replica: ReplicaAddr::serving(0),
                 action: ScalingAction::Drain,
             }],
             &wl,

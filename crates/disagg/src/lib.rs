@@ -25,11 +25,11 @@
 //!   clock, implementing [`serving::Deployment`] so the same
 //!   [`serving::ServeSession`] front door that drives colocated and
 //!   cluster deployments drives this one (drain/join scaling on either
-//!   pool via the session's timeline, completion records merged into one
-//!   stream via [`metrics`]). The legacy batch `DisaggCluster::run`
-//!   remains as a deprecated, output-equivalent shim.
+//!   pool via the session's `scale_at` timeline, completion records
+//!   merged into one stream via [`metrics`]).
 //!
-//! Decode replicas are ordinary [`cluster::Replica`]s wrapping any
+//! The decode side is an ordinary [`serving::ReplicaPool`] of
+//! [`serving::Replica`]s wrapping any
 //! [`serving::ServingEngine`] (AdaServe's SCSD decode, or a baseline), so
 //! colocated and disaggregated deployments of the *same* engines compare
 //! apples-to-apples at equal aggregate hardware — the `fig_disagg_sweep`
@@ -42,8 +42,6 @@ pub mod migrate;
 pub mod prefill;
 
 pub use dispatch::Dispatcher;
-pub use driver::{
-    DisaggCluster, DisaggRunResult, DisaggScalingEvent, Pool, PrefillStats, ScalingAction,
-};
+pub use driver::{DisaggCluster, Pool, ScalingAction};
 pub use migrate::{KvLink, KvTransfer, TransferQueue, TransferStats};
 pub use prefill::{PrefillPool, PrefillReplica};

@@ -261,7 +261,7 @@ impl PrefillPool {
     /// replicas when the whole pool is draining (degrade, don't drop).
     /// Down (crashed) replicas are never eligible targets.
     pub fn eligible(&self) -> Vec<usize> {
-        cluster::accepting_or_all(self.replicas.iter().map(|r| r.accepting && !r.down))
+        serving::accepting_or_all(self.replicas.iter().map(|r| r.accepting && !r.down))
     }
 }
 

@@ -1,9 +1,9 @@
 //! Execution modes and the persistent sharded executor behind parallel
 //! replica stepping.
 //!
-//! Multi-replica drivers (`cluster::Cluster`, the decode pool of
-//! `disagg::DisaggCluster`) advance many independent replicas between two
-//! synchronization points (the next arrival, scaling event, KV-transfer
+//! A [`crate::ReplicaPool`] (inside `cluster::Cluster`, or the decode
+//! side of `disagg::DisaggCluster`) advances many independent replicas
+//! between two synchronization points (the next arrival, scaling event, KV-transfer
 //! landing or prefill iteration). [`ExecMode`] selects *how* that batch of
 //! per-replica work runs; [`ShardedExecutor`] is the long-lived worker
 //! pool that runs it when real parallelism is requested.
@@ -13,7 +13,7 @@
 //! Replicas interact only at the synchronization points the session
 //! injects **between** batches — routing, scaling, KV handoff — never
 //! inside one. Each task in a batch therefore owns its replica
-//! exclusively, and the driver merges per-replica results in
+//! exclusively, and the pool merges per-replica results in
 //! replica-index order after the batch completes. Output is
 //! **record-for-record identical** across every `ExecMode` (and every
 //! worker count): same completion records, same end time, same iteration

@@ -19,7 +19,12 @@
 //!   context-carrying [`engine::RunError`];
 //! * [`core`] — [`core::EngineCore`], the queueing/admission/prefill and
 //!   bookkeeping machinery engines compose (waiting queue, running batch,
-//!   completion records, latency breakdown).
+//!   completion records, latency breakdown);
+//! * [`replica`] — the one stepped [`replica::Replica`] type (an engine on
+//!   its own clock, with its stall guard, lifecycle tracker and fault
+//!   state) and the [`replica::ReplicaPool`] that steps a set of them,
+//!   one iteration at a time or batched to a horizon on the
+//!   [`exec::ShardedExecutor`].
 //!
 //! The front door is the [`session`] module: any deployment shape — a
 //! single [`colocated`] engine, a multi-replica `cluster::Cluster`, a
@@ -28,9 +33,9 @@
 //! loop drives them all **online**: requests are submitted at their
 //! arrival times (open-loop from a workload, or mid-run from a client
 //! hook), surfaced as per-request [`session::DeploymentEvent`]s, and
-//! finalized into one [`session::RunReport`]. The legacy batch entry
-//! points (`serving::run`, `Cluster::run`, `DisaggCluster::run`) remain
-//! as deprecated, output-equivalent shims over it.
+//! finalized into one [`session::RunReport`]. Every shape keeps its
+//! serving replicas in a [`ReplicaPool`], so they all step through the
+//! same code.
 //!
 //! GPU passes are *timed* by the roofline model but their *results* (which
 //! tokens get generated/accepted) come from real computation against the
@@ -48,6 +53,7 @@ pub mod fault;
 pub mod kv;
 pub mod prefix;
 pub mod probe;
+pub mod replica;
 pub mod request;
 pub mod session;
 pub mod swap;
@@ -55,17 +61,16 @@ pub mod swap;
 pub use colocated::Colocated;
 pub use config::SystemConfig;
 pub use core::EngineCore;
-#[allow(deprecated)]
-pub use engine::run;
 pub use engine::{
-    finalize_run, ErrorSite, Pool, RunError, RunErrorKind, RunOptions, RunResult, ServingEngine,
-    StallGuard, StepResult,
+    ErrorSite, Pool, RunError, RunErrorKind, RunOptions, RunResult, ServingEngine, StallGuard,
+    StepResult,
 };
 pub use exec::{ExecMode, ShardedExecutor};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 pub use kv::BlockManager;
 pub use prefix::{PrefixCache, PrefixStats};
-pub use probe::{core_gauges, trace_replica, ProbeState, StepProbe};
+pub use probe::{fleet_gauges, trace_replica};
+pub use replica::{accepting_or_all, InboundWork, Replica, ReplicaPool};
 pub use request::{LiveRequest, Phase};
 pub use session::{
     Deployment, DeploymentEvent, DeploymentStep, LifecycleTracker, RejectReason, ReplicaAddr,

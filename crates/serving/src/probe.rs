@@ -1,18 +1,20 @@
 //! Iteration-granularity trace probing.
 //!
-//! The engines know nothing about tracing; instead, the deployment
-//! drivers snapshot the [`EngineCore`] counters around each
-//! `engine.step()` call and derive the per-iteration trace events from
-//! the deltas: draft/accepted token counts, the scheduler's real
-//! wall-clock share, and request lifecycle transitions (first entry into
-//! a running batch, preemption, resumption) read off the running/waiting
-//! queues. All of it is gated on [`Tracer::enabled`], so a disabled
+//! The engines know nothing about tracing; instead, each
+//! [`crate::Replica`] snapshots its [`EngineCore`] counters around each
+//! `engine.step()` call and derives the per-iteration trace events from
+//! the deltas: draft/accepted token counts, modelled prefill time, and
+//! request lifecycle transitions (first entry into a running batch,
+//! preemption, resumption) read off the running/waiting queues. Every
+//! quantity is simulated, so two same-seed traced runs record identical
+//! traces. All of it is gated on [`Tracer::enabled`], so a disabled
 //! tracer costs one branch per iteration and zero allocations.
 
 use crate::core::EngineCore;
 use crate::engine::Pool;
 use crate::session::ReplicaAddr;
 use metrics::telemetry::{EventKind, GaugeSample, TraceReplica, Tracer};
+use metrics::HotLoopStats;
 use std::collections::HashSet;
 
 /// Converts a serving replica address into telemetry's own replica id
@@ -25,32 +27,38 @@ pub fn trace_replica(addr: ReplicaAddr) -> TraceReplica {
     }
 }
 
-/// A gauge sample over one engine core (single-replica deployments;
-/// multi-replica shapes aggregate per-core samples themselves).
-pub fn core_gauges(core: &EngineCore) -> GaugeSample {
-    GaugeSample {
-        queue_depth: core.waiting.len(),
-        in_flight: core.running.len(),
-        kv_occupancy_pct: 100.0 * core.blocks.utilization(),
-        cache_hit_rate_pct: core.hotloop.prefix_hit_rate_pct(),
+/// A gauge sample over a deployment's engine cores: queue depth and
+/// in-flight sum across them, KV occupancy reports the fullest core, and
+/// the cache hit rate pools their lookup/hit counters.
+pub fn fleet_gauges<'c>(cores: impl Iterator<Item = &'c EngineCore>) -> GaugeSample {
+    let mut sample = GaugeSample::default();
+    let mut hot = HotLoopStats::default();
+    for core in cores {
+        sample.queue_depth += core.waiting.len();
+        sample.in_flight += core.running.len();
+        sample.kv_occupancy_pct = sample
+            .kv_occupancy_pct
+            .max(100.0 * core.blocks.utilization());
+        hot.merge(&core.hotloop);
     }
+    sample.cache_hit_rate_pct = hot.prefix_hit_rate_pct();
+    sample
 }
 
 /// Per-replica lifecycle memory the probe needs across iterations: which
 /// requests have ever run (to tell a first prefill from a resumption)
 /// and which are currently evicted. Only populated while tracing.
 #[derive(Debug, Default)]
-pub struct ProbeState {
+pub(crate) struct ProbeState {
     started: HashSet<u64>,
     preempted: HashSet<u64>,
 }
 
 /// Counter snapshot taken immediately before one `engine.step()`.
 #[derive(Debug)]
-pub struct StepProbe {
+pub(crate) struct StepProbe {
     speculated: u64,
     accepted: u64,
-    scheduling_ms: f64,
     prefill_ms: f64,
     running_before: Vec<u64>,
     finished_before: usize,
@@ -59,14 +67,13 @@ pub struct StepProbe {
 impl StepProbe {
     /// Snapshots `core`, or returns `None` when `tracer` is disabled —
     /// the single branch the hot loop pays with tracing off.
-    pub fn begin(tracer: &Tracer, core: &EngineCore) -> Option<Self> {
+    pub(crate) fn begin(tracer: &Tracer, core: &EngineCore) -> Option<Self> {
         if !tracer.enabled() {
             return None;
         }
         Some(Self {
             speculated: core.speculated_total,
             accepted: core.accepted_total,
-            scheduling_ms: core.breakdown.scheduling_ms,
             prefill_ms: core.breakdown.prefill_ms,
             running_before: core.running.iter().map(|r| r.spec.id).collect(),
             finished_before: core.finished_count(),
@@ -78,7 +85,7 @@ impl StepProbe {
     /// [`EventKind::Iteration`] span itself. `at_ms` is the replica clock
     /// *after* the step (the same upper-bound stamp the lifecycle tracker
     /// uses); the iteration span starts at `at_ms - latency_ms`.
-    pub fn finish(
+    pub(crate) fn finish(
         self,
         tracer: &Tracer,
         core: &EngineCore,
@@ -116,7 +123,6 @@ impl StepProbe {
                 accepted_tokens: core.accepted_total.saturating_sub(self.accepted),
                 prefill_ms: core.breakdown.prefill_ms - self.prefill_ms,
                 latency_ms,
-                sched_wall_ms: core.breakdown.scheduling_ms - self.scheduling_ms,
             },
         );
     }

@@ -1,11 +1,9 @@
 //! The unified serving front door: the [`Deployment`] trait and the
 //! online [`ServeSession`] driver.
 //!
-//! Before this module, every deployment shape had its own entry point —
-//! `serving::run`, `cluster::Cluster::run`, `disagg::DisaggCluster::run` —
-//! each re-wiring the same event loop (global clock, stall guard, run
-//! caps, scaling events, report plumbing) with its own result type. The
-//! front door collapses them:
+//! Every deployment shape runs under one event loop (global clock, stall
+//! guard, run caps, scaling timeline, report plumbing) and reports one
+//! result type:
 //!
 //! * a [`Deployment`] is anything that can accept requests and advance
 //!   its own machinery event by event — a single colocated engine
@@ -21,9 +19,6 @@
 //!   (`Admitted`, `FirstToken`, `Finished`, `Rejected`) and the run
 //!   finalizes into one [`RunReport`] with per-replica/pool
 //!   [`UnitStats`], regardless of topology.
-//!
-//! The legacy entry points remain as deprecated shims over this module
-//! and are verified output-equivalent by `tests/output_equivalence.rs`.
 
 use crate::core::EngineCore;
 use crate::engine::{Pool, RunError, RunOptions, RunResult, StallGuard};
@@ -216,8 +211,7 @@ pub struct DeploymentStep {
     pub latency_ms: Option<f64>,
     /// The replica that iterated, when one did. The session keys its
     /// progress guards on this so a zero-latency run on one replica is
-    /// never conflated with (or reset by) its peers' steps — the same
-    /// per-replica stall semantics the legacy drivers had.
+    /// never conflated with (or reset by) its peers' steps.
     pub replica: Option<ReplicaAddr>,
 }
 
@@ -227,8 +221,7 @@ pub struct DeploymentStep {
 /// per-replica clocks, KV migration, …); the session owns the global
 /// event loop — arrival injection, the scaling timeline, run caps and a
 /// progress guard. Event ordering at equal timestamps is: scaling, then
-/// arrivals, then internal steps — the contract the legacy per-topology
-/// drivers shared.
+/// faults, then arrivals, then internal steps.
 pub trait Deployment {
     /// Display label for reports (engine name, router name, …).
     fn name(&self) -> String;
@@ -262,9 +255,8 @@ pub trait Deployment {
     fn next_event_ms(&self) -> Option<f64>;
 
     /// Advances the earliest due internal event (one engine iteration,
-    /// KV-transfer landing, …), enforcing the caps in `options` with the
-    /// deployment's native granularity (per-replica, as the legacy
-    /// drivers did).
+    /// KV-transfer landing, …), enforcing the caps in `options` per
+    /// replica.
     fn step(&mut self, options: &RunOptions) -> Result<DeploymentStep, RunError>;
 
     /// Advances internal machinery up to (but never past) `horizon_ms` —
@@ -349,9 +341,11 @@ pub trait Deployment {
 /// Tracks which lifecycle milestones have been announced per request, so
 /// deployments emit each [`DeploymentEvent`] exactly once.
 ///
-/// One tracker serves a whole deployment (request ids are unique across
-/// replicas); the per-core `finished_seen` high-water marks live with the
-/// caller because a deployment scans many cores.
+/// Each replica keeps its own tracker (a disaggregated prefill pool
+/// shares one): a request lives on one replica at a time, and a migration
+/// hands its announced state to the destination's tracker with
+/// [`LifecycleTracker::mark_admitted`]. The per-core `finished_seen`
+/// high-water mark lives with the caller, next to the core it indexes.
 #[derive(Debug, Default)]
 pub struct LifecycleTracker {
     admitted: HashSet<u64>,
@@ -456,10 +450,8 @@ impl UnitStats {
 
 /// Outcome of one [`ServeSession`] run, regardless of deployment shape.
 ///
-/// Collapses the legacy `RunResult` / `ClusterRunResult` /
-/// `DisaggRunResult` trio: the merged record stream, per-replica/pool
-/// [`UnitStats`], any front-door rejections, and accessors for the
-/// standard reports.
+/// The merged record stream, per-replica/pool [`UnitStats`], any
+/// front-door rejections, and accessors for the standard reports.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Deployment label ([`Deployment::name`]).
@@ -534,7 +526,7 @@ impl RunReport {
         }
     }
 
-    /// Unwraps a single-engine run back into the legacy [`RunResult`].
+    /// Unwraps a single-engine run into its replica's [`RunResult`].
     ///
     /// # Panics
     ///
@@ -596,8 +588,7 @@ impl SessionHandle {
 /// with [`ServeSession::serve`] (a [`Workload`]'s arrivals at their
 /// timestamps) or online with [`ServeSession::serve_online`] (a client
 /// hook that observes [`DeploymentEvent`]s and may submit follow-up
-/// requests or scaling mid-run — traffic the batch-oriented legacy
-/// `run(&workload)` contract could not express).
+/// requests or scaling mid-run).
 #[derive(Debug)]
 pub struct ServeSession<D: Deployment> {
     deployment: D,
@@ -639,7 +630,7 @@ pub struct ServeSession<D: Deployment> {
     /// The fault timeline: injections and their scheduled recoveries,
     /// sorted by time (like `scaling`). Empty unless
     /// [`ServeSession::with_fault_plan`] was called, so fault-free runs
-    /// take the exact legacy path.
+    /// take the exact fault-free path.
     faults: VecDeque<FaultAction>,
     /// What happens to requests lost to faults.
     recovery: RecoveryPolicy,
@@ -787,9 +778,9 @@ impl<D: Deployment> ServeSession<D> {
     }
 
     /// Enables/disables front-door admission control (rejecting prompts
-    /// that can never fit any replica's KV pool). On by default; the
-    /// legacy shims disable it to preserve their original error-path
-    /// behavior.
+    /// that can never fit any replica's KV pool). On by default; with it
+    /// off, such a prompt surfaces as the deployment's own
+    /// [`RunError`] instead.
     #[must_use]
     pub fn admission_control(mut self, enabled: bool) -> Self {
         self.admission_control = enabled;
@@ -872,8 +863,8 @@ impl<D: Deployment> ServeSession<D> {
     /// Runs the event loop to completion, surfacing every
     /// [`DeploymentEvent`] to `client`, which may submit follow-up
     /// requests or scaling through the [`SessionHandle`] — closed-loop
-    /// and interactive traffic the batch `run(&workload)` signature
-    /// cannot express. Returns once no arrivals, scaling or work remain.
+    /// and interactive traffic. Returns once no arrivals, scaling or work
+    /// remain.
     pub fn serve_online<F>(&mut self, mut client: F) -> Result<RunReport, RunError>
     where
         F: FnMut(&DeploymentEvent, &mut SessionHandle),

@@ -175,8 +175,6 @@ pub enum EventKind {
         prefill_ms: f64,
         /// Modeled iteration latency (sim clock advance) in ms.
         latency_ms: f64,
-        /// Real CPU wall-clock the scheduler spent this iteration, ms.
-        sched_wall_ms: f64,
     },
     /// A running request was evicted back to the waiting queue.
     Preempted {

@@ -452,7 +452,6 @@ mod tests {
                 accepted_tokens: 7,
                 prefill_ms: 0.0,
                 latency_ms: 25.0,
-                sched_wall_ms: 0.01,
             },
         }
     }

@@ -34,12 +34,11 @@
 //! assert_eq!(report.report().requests, workload.requests.len());
 //! ```
 //!
-//! The legacy batch entry points (`serving::run`, `Cluster::run`,
-//! `DisaggCluster::run`) remain as deprecated shims over the session and
-//! are verified output-equivalent in `tests/output_equivalence.rs`;
-//! migrate by wrapping the same object in a [`ServeSession`] and calling
-//! [`ServeSession::serve`] (or [`ServeSession::serve_online`] for
-//! closed-loop traffic the batch API could not express).
+//! Every shape runs through a [`ServeSession`]: [`ServeSession::serve`]
+//! for open-loop traffic, [`ServeSession::serve_online`] for closed-loop
+//! traffic and mid-run scaling. Every shape also keeps its serving
+//! replicas in one [`serving::ReplicaPool`], so they all step through the
+//! same code.
 //!
 //! # Workspace map
 //!
@@ -69,7 +68,7 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour,
 //! `examples/online_serving.rs` for the online/closed-loop API, and
-//! `DESIGN.md` for the paper-to-module map.
+//! `docs/ARCHITECTURE.md` for the design map.
 
 pub use adaserve_core as core;
 pub use baselines;

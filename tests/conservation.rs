@@ -16,9 +16,10 @@ fn workload(config: &SystemConfig) -> Workload {
 }
 
 fn serve(engine: &mut dyn ServingEngine, wl: &Workload) -> RunReport {
+    let name = engine.name();
     ServeSession::new(Colocated::borrowed(engine))
         .serve(wl)
-        .unwrap_or_else(|e| panic!("{}: {e}", engine.name()))
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 fn engines(seed: u64) -> Vec<Box<dyn ServingEngine>> {

@@ -33,9 +33,10 @@ fn squeeze(engine: &mut dyn ServingEngine, blocks: u64) {
 }
 
 fn serve(engine: &mut dyn ServingEngine, wl: &Workload) -> RunReport {
+    let name = engine.name();
     ServeSession::new(Colocated::borrowed(engine))
         .serve(wl)
-        .unwrap_or_else(|e| panic!("{}: {e}", engine.name()))
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 #[test]
