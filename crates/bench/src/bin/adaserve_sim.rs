@@ -11,7 +11,9 @@
 //! adaserve_sim --list-engines
 //! ```
 
-use adaserve_bench::{is_smoke, seed, serve_one_traced, BenchSummary, EngineKind, ModelSetup};
+use adaserve_bench::{
+    is_smoke, seed, serve_one_traced, Artifact, BenchRow, EngineKind, ModelSetup,
+};
 use metrics::telemetry::{perfetto, Tracer};
 use metrics::Table;
 use workload::{CategoryMix, TraceKind, WorkloadBuilder};
@@ -226,16 +228,16 @@ fn main() {
         eprintln!("wrote {} ({} trace events)", path.display(), events.len());
     }
     if let Some(path) = args.json_out {
-        let mut summary = BenchSummary::new(
+        let mut summary = Artifact::new(
             "adaserve_sim",
-            if is_smoke() { "smoke" } else { "full" },
+            is_smoke(),
             args.seed,
-            args.duration_s * 1e3,
+            Some(args.duration_s * 1e3),
         );
-        summary.push_report(
+        summary.rows.push(BenchRow::from_report(
             format!("engine={} model={}", kind.name(), args.model.name()),
             &report,
-        );
+        ));
         summary.write(&path).expect("write BENCH json");
     }
 }

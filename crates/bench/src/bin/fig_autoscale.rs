@@ -24,7 +24,7 @@
 //! ADASERVE_SMOKE=1 fig_autoscale --json-out BENCH_autoscale.json
 //! ```
 
-use adaserve_bench::{AutoscaleRow, AutoscaleSummary};
+use adaserve_bench::{Artifact, AutoscaleRow};
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use scenario::{
@@ -212,12 +212,7 @@ fn main() {
         burst_end / 1e3,
     );
 
-    let mut summary = AutoscaleSummary::new(
-        "fig_autoscale",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new("fig_autoscale", smoke, seed, Some(duration_ms));
 
     let mut tenant_detail = Vec::new();
 

@@ -29,7 +29,7 @@
 //! ADASERVE_SMOKE=1 fig_chaos --json-out BENCH_chaos.json
 //! ```
 
-use adaserve_bench::{ChaosRow, ChaosSummary};
+use adaserve_bench::{Artifact, ChaosRow};
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use scenario::{ArrivalProcess, Scenario, ScenarioWorkload, TenantSpec};
@@ -156,12 +156,7 @@ fn main() {
     }
     println!();
 
-    let mut summary = ChaosSummary::new(
-        "fig_chaos",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new("fig_chaos", smoke, seed, Some(duration_ms));
 
     let baseline = ServeSession::new(fleet(seed))
         .serve(&sw.workload)

@@ -20,7 +20,7 @@
 
 use adaserve_bench::{
     check_sweep_args, expect_no_rejections, is_smoke, par_map, parse_json_out, seed,
-    sweep_duration_ms, BenchSummary,
+    sweep_duration_ms, Artifact, BenchRow,
 };
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
@@ -98,12 +98,7 @@ fn main() {
         report
     });
 
-    let mut summary = BenchSummary::new(
-        "fig_cluster_scaling",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new("fig_cluster_scaling", smoke, seed, Some(duration_ms));
     let mut header: Vec<String> = vec!["replicas".into(), "rps/replica".into()];
     header.extend(RouterKind::ALL.iter().map(|r| r.name().to_string()));
     let mut attain = Table::new(header.clone());
@@ -112,10 +107,10 @@ fn main() {
 
     let reports: Vec<metrics::SloReport> = results.iter().map(RunReport::report).collect();
     for (ji, &(n, rps, router)) in jobs.iter().enumerate() {
-        summary.push_report(
+        summary.rows.push(BenchRow::from_report(
             format!("replicas={n} rps={rps:.1} router={}", router.name()),
             &reports[ji],
-        );
+        ));
         // Router is the innermost sweep variable: each (n, rps) pair owns
         // one table row spanning all routers.
         if router == RouterKind::ALL[0] {

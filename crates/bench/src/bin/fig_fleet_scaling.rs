@@ -20,7 +20,7 @@
 //! ADASERVE_SMOKE=1 fig_fleet_scaling --json-out BENCH_fleet_scaling.json
 //! ```
 
-use adaserve_bench::{FleetRow, FleetSummary};
+use adaserve_bench::{Artifact, FleetRow};
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use serving::{ExecMode, RunReport, ServeSession, ServingEngine, SystemConfig};
@@ -89,11 +89,7 @@ fn main() {
         base_ms / 1e3,
     );
 
-    let mut summary = FleetSummary::new(
-        "fig_fleet_scaling",
-        if smoke { "smoke" } else { "full" },
-        seed,
-    );
+    let mut summary = Artifact::new("fig_fleet_scaling", smoke, seed, None);
     println!(
         "{:>8} {:<12} {:>7} {:>10} {:>10} {:>8} {:>10} {:>8}",
         "replicas", "exec", "workers", "wall_ms", "sim_ms", "reqs", "iters/s", "speedup"

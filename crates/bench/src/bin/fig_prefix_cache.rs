@@ -16,7 +16,7 @@
 //! ADASERVE_SMOKE=1 fig_prefix_cache --json-out BENCH_prefix.json
 //! ```
 
-use adaserve_bench::{PrefixRow, PrefixSummary};
+use adaserve_bench::{Artifact, PrefixRow};
 use adaserve_core::AdaServeEngine;
 use serving::{RunResult, ServingEngine, SystemConfig};
 use workload::{Workload, WorkloadBuilder};
@@ -83,12 +83,7 @@ fn main() {
         duration_ms / 1e3,
     );
 
-    let mut summary = PrefixSummary::new(
-        "fig_prefix_cache",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new("fig_prefix_cache", smoke, seed, Some(duration_ms));
     println!(
         "{:<22} {:<5} {:>7} {:>5} {:>6} {:>7} {:>10} {:>9} {:>9} {:>9} {:>7} {:>7}",
         "label",

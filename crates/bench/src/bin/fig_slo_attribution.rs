@@ -20,7 +20,7 @@
 //!     --trace-out trace.json
 //! ```
 
-use adaserve_bench::{AttributionRow, AttributionSummary};
+use adaserve_bench::{Artifact, AttributionRow};
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use metrics::telemetry::{perfetto, SloAttribution, TraceEvent, Tracer};
@@ -55,12 +55,7 @@ fn main() {
         duration_ms / 1e3,
     );
 
-    let mut summary = AttributionSummary::new(
-        "fig_slo_attribution",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new("fig_slo_attribution", smoke, seed, Some(duration_ms));
     println!(
         "{:<10} {:<10} {:>6} {:>6} {:>7} {:>8} {:>6} {:>7} {:>8}  {:<10} {:>8}",
         "label",

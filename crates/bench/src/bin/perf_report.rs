@@ -31,7 +31,7 @@
 //!     [--quick] [--duration-s F] [--json-out BENCH_perf.json]
 //! ```
 
-use adaserve_bench::{PerfRow, PerfSummary};
+use adaserve_bench::{Artifact, PerfRow};
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use metrics::telemetry::Tracer;
@@ -119,24 +119,21 @@ fn main() {
     adaserve_bench::check_sweep_args("perf_report");
     let seed = adaserve_bench::seed();
     let duration_ms = adaserve_bench::sweep_duration_ms(10_000.0, 60_000.0);
-    let mode = if adaserve_bench::is_smoke() {
-        "smoke"
-    } else {
-        "full"
-    };
+    let smoke = adaserve_bench::is_smoke();
     let exec = adaserve_bench::exec_mode();
     let baseline_ms = SystemConfig::llama70b(seed).baseline_ms;
-    let rps = if mode == "smoke" { 2.0 } else { 4.0 };
+    let rps = if smoke { 2.0 } else { 4.0 };
     let wl = WorkloadBuilder::new(seed, baseline_ms)
         .target_rps(rps)
         .duration_ms(duration_ms)
         .build();
 
+    let mut summary = Artifact::new("perf_report", smoke, seed, Some(duration_ms));
     println!(
-        "perf_report: seed={seed} duration={duration_ms}ms rps={rps} mode={mode} exec={}",
+        "perf_report: seed={seed} duration={duration_ms}ms rps={rps} mode={} exec={}",
+        summary.mode(),
         exec.label()
     );
-    let mut summary = PerfSummary::new("perf_report", mode, seed, duration_ms);
 
     // The base colocated row and its explicit tracer=off twin are timed
     // in interleaved rounds (like the cluster pair below): the

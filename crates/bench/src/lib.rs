@@ -9,15 +9,16 @@
 //!
 //! Absolute numbers come from the roofline cost model rather than real
 //! A100s, so the *shapes* (who wins, by what factor, where crossovers fall)
-//! are the reproduction target — see `EXPERIMENTS.md` for paper-vs-measured
-//! notes.
+//! are the reproduction target. Each binary's module docs say what it
+//! compares against the paper, and [`ModelSetup::rps_extended`] explains
+//! where this testbed's crossovers move; `docs/BENCH.md` documents the
+//! machine-readable `BENCH_*.json` artifacts ([`summary`]).
 
 pub mod json;
 pub mod summary;
 
 pub use summary::{
-    AttributionRow, AttributionSummary, AutoscaleRow, AutoscaleSummary, BenchRow, BenchSummary,
-    ChaosRow, ChaosSummary, FleetRow, FleetSummary, PerfRow, PerfSummary, PrefixRow, PrefixSummary,
+    Artifact, AttributionRow, AutoscaleRow, BenchRow, ChaosRow, FleetRow, PerfRow, PrefixRow,
     TierSummary,
 };
 
@@ -284,21 +285,52 @@ where
 /// bursty shape. `--quick` in each binary cuts this further.
 pub const DEFAULT_DURATION_MS: f64 = 180_000.0;
 
-/// Parses common CLI flags: `--quick` (shorter runs), `--duration-s N`.
-pub fn parse_duration_ms() -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    let mut duration = DEFAULT_DURATION_MS;
-    for (i, a) in args.iter().enumerate() {
-        if a == "--quick" {
-            duration = 45_000.0;
-        }
-        if a == "--duration-s" {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) {
-                duration = v * 1e3;
+/// Parses the shared duration flags in `args` (the arguments after the
+/// program name): `--quick` (45 s) and `--duration-s F` (F seconds), a
+/// later flag overriding an earlier one.
+///
+/// Returns `Ok(None)` when neither flag is present, and a message when a
+/// `--duration-s` value is missing, unparsable, non-finite or not
+/// positive.
+fn duration_flags_ms(args: &[String]) -> Result<Option<f64>, String> {
+    let mut duration = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => duration = Some(45_000.0),
+            "--duration-s" => {
+                let value = args.next().ok_or("--duration-s requires a value")?;
+                match value.parse::<f64>() {
+                    Ok(s) if s.is_finite() && s > 0.0 => duration = Some(s * 1e3),
+                    _ => {
+                        return Err(format!(
+                            "--duration-s needs a positive number of seconds, got {value:?}"
+                        ))
+                    }
+                }
             }
+            _ => {}
         }
     }
-    duration
+    Ok(duration)
+}
+
+/// The command line's `--quick`/`--duration-s` duration, if either flag
+/// is given (see [`duration_flags_ms`]). Exits with status 2 on a bad
+/// `--duration-s` value, before any simulation runs.
+fn explicit_duration_ms() -> Option<f64> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    duration_flags_ms(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// The simulated duration of a figure run: `--quick` or `--duration-s F`
+/// if given, else [`DEFAULT_DURATION_MS`]. Exits with status 2 on a bad
+/// `--duration-s` value.
+pub fn parse_duration_ms() -> f64 {
+    explicit_duration_ms().unwrap_or(DEFAULT_DURATION_MS)
 }
 
 /// Standard experiment seed (all binaries share it for cross-figure
@@ -362,19 +394,17 @@ pub fn check_sweep_args(binary: &str) {
 /// always wins; otherwise `smoke_default_ms` under `ADASERVE_SMOKE`, else
 /// `full_default_ms` (sweep binaries default shorter than the shared
 /// [`DEFAULT_DURATION_MS`] because they multiply runs by sweep points).
+/// Exits with status 2 on a bad `--duration-s` value.
 pub fn sweep_duration_ms(smoke_default_ms: f64, full_default_ms: f64) -> f64 {
-    let explicit = std::env::args().any(|a| a == "--duration-s" || a == "--quick");
-    if explicit {
-        parse_duration_ms()
-    } else if is_smoke() {
+    explicit_duration_ms().unwrap_or(if is_smoke() {
         smoke_default_ms
     } else {
         full_default_ms
-    }
+    })
 }
 
 /// Parses the shared `--json-out PATH` flag: where to write the run's
-/// machine-readable [`BenchSummary`] artifact, if anywhere.
+/// machine-readable [`Artifact`], if anywhere.
 pub fn parse_json_out() -> Option<std::path::PathBuf> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -437,6 +467,40 @@ mod tests {
         for kind in kinds {
             let result = run_one(kind, ModelSetup::Llama70b, 1, &wl);
             assert_eq!(result.records.len(), wl.requests.len(), "{}", kind.name());
+        }
+    }
+
+    fn duration_flags(args: &[&str]) -> Result<Option<f64>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        duration_flags_ms(&args)
+    }
+
+    #[test]
+    fn duration_flags_parse_quick_and_seconds() {
+        assert_eq!(duration_flags(&[]), Ok(None));
+        assert_eq!(duration_flags(&["--json-out", "x.json"]), Ok(None));
+        assert_eq!(duration_flags(&["--duration-s", "2.5"]), Ok(Some(2_500.0)));
+        assert_eq!(duration_flags(&["--quick"]), Ok(Some(45_000.0)));
+        assert_eq!(
+            duration_flags(&["--quick", "--duration-s", "3"]),
+            Ok(Some(3_000.0)),
+            "the later flag wins"
+        );
+        assert_eq!(
+            duration_flags(&["--duration-s", "3", "--quick"]),
+            Ok(Some(45_000.0))
+        );
+    }
+
+    #[test]
+    fn duration_flags_reject_missing_and_bad_values() {
+        assert_eq!(
+            duration_flags(&["--duration-s"]),
+            Err("--duration-s requires a value".to_string())
+        );
+        for bad in ["abc", "0", "-1", "inf", "NaN", "--json-out"] {
+            let err = duration_flags(&["--duration-s", bad]).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{bad}: {err}");
         }
     }
 

@@ -1,14 +1,18 @@
-//! Machine-readable benchmark summaries (`BENCH_*.json`).
+//! Machine-readable benchmark artifacts (`BENCH_*.json`).
 //!
-//! Every figure binary can drop a [`BenchSummary`] next to its textual
-//! output, giving the repo a perf trajectory CI can gate on: the
-//! `bench-json` CI step runs the smoke sweeps, validates the emitted JSON
-//! against [`validate`] (via the `check_bench_json` binary) and uploads
-//! the artifact, so a PR that silently breaks the hot loop or the emitter
-//! fails loudly.
+//! Every artifact is an [`Artifact`]: one envelope around rows of a single
+//! [`Row`] type, the type fixing the artifact's `kind`. A row type lists
+//! its JSON members once, as typed [`Field`]s. The emitter lowers that
+//! list, and [`validate`] checks a parsed document against the list of a
+//! default artifact of the document's kind, so the two cannot disagree.
+//! Each kind may also carry a semantic gate over its rows (a tracked win
+//! that must hold); `docs/BENCH.md` documents every kind, key and gate.
+//! CI's `bench-json` job runs the smoke sweeps and pipes the emitted
+//! files through `check_bench_json`, which applies [`validate`].
 //!
 //! Schema (version 2; version 1 lacked the three TTFT keys the
-//! disaggregation sweeps gate on):
+//! disaggregation sweeps gate on), here for the SLO sweep, the one kind
+//! without a `kind` member:
 //!
 //! ```json
 //! {
@@ -45,16 +49,147 @@
 
 use crate::json::Json;
 use metrics::SloReport;
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The schema version this module emits and validates.
 pub const SCHEMA_VERSION: u32 = 2;
 
-/// Per-SLO-tier (request category) aggregate within one row.
+/// One typed JSON member: the emitter writes its value, and [`validate`]
+/// requires a member of the same type under the same key.
 #[derive(Debug, Clone, PartialEq)]
+pub enum Field {
+    /// A finite number.
+    Num(f64),
+    /// An exact unsigned integer (the seed), emitted as [`Json::Int`].
+    Int(u64),
+    /// A non-empty string.
+    Text(String),
+    /// A string from a fixed set.
+    OneOf(String, &'static [&'static str]),
+    /// A boolean.
+    Bool(bool),
+    /// An array of nested objects, with the fields each element must have.
+    Rows(Vec<Fields>, Fields),
+}
+
+/// An object's members as `(key, typed value)` pairs, each key once.
+pub type Fields = Vec<(&'static str, Field)>;
+
+impl Field {
+    fn into_json(self) -> Json {
+        match self {
+            Field::Num(n) => Json::Num(n),
+            Field::Int(n) => Json::Int(n),
+            Field::Text(s) | Field::OneOf(s, _) => Json::Str(s),
+            Field::Bool(b) => Json::Bool(b),
+            Field::Rows(items, _) => Json::Arr(items.into_iter().map(object).collect()),
+        }
+    }
+}
+
+fn object(fields: Fields) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(key, field)| (key.to_string(), field.into_json()))
+            .collect(),
+    )
+}
+
+/// The row type of one artifact kind.
+pub trait Row: Default {
+    /// The document's `kind` member (`None` for the SLO sweep, which has
+    /// none).
+    const KIND: Option<&'static str>;
+    /// Whether the envelope carries `duration_ms` (every kind but fleet).
+    const TIMED: bool = true;
+    /// The row's JSON members, each listed once.
+    fn fields(&self) -> Fields;
+}
+
+/// A complete artifact: run metadata plus one row per sweep point.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Artifact<R> {
+    /// Emitting binary, e.g. `"fig_cluster_scaling"`.
+    pub name: String,
+    /// A CI-sized run (`"mode": "smoke"`) rather than the full sweep
+    /// (`"full"`).
+    pub smoke: bool,
+    /// The experiment seed the run used (`ADASERVE_SEED`-overridable).
+    pub seed: u64,
+    /// Simulated duration per sweep point, ms (`None` for kinds without
+    /// one; see [`Row::TIMED`]).
+    pub duration_ms: Option<f64>,
+    /// Sweep results.
+    pub rows: Vec<R>,
+}
+
+impl<R: Row> Artifact<R> {
+    /// Creates an artifact with no rows yet.
+    pub fn new(name: impl Into<String>, smoke: bool, seed: u64, duration_ms: Option<f64>) -> Self {
+        Self {
+            name: name.into(),
+            smoke,
+            seed,
+            duration_ms,
+            rows: Vec::new(),
+        }
+    }
+
+    /// The `mode` member: `"smoke"` or `"full"`.
+    pub fn mode(&self) -> &'static str {
+        if self.smoke {
+            "smoke"
+        } else {
+            "full"
+        }
+    }
+
+    /// The envelope and rows as typed fields.
+    fn fields(&self) -> Fields {
+        let rows = self.rows.iter().map(Row::fields).collect();
+        let mut fields = vec![
+            ("schema_version", Field::Num(f64::from(SCHEMA_VERSION))),
+            ("name", Field::Text(self.name.clone())),
+            ("mode", Field::OneOf(self.mode().into(), &["smoke", "full"])),
+            ("seed", Field::Int(self.seed)),
+            ("rows", Field::Rows(rows, R::default().fields())),
+        ];
+        fields.extend(R::KIND.map(|kind| ("kind", Field::Text(kind.into()))));
+        fields.extend(self.duration_ms.map(|ms| ("duration_ms", Field::Num(ms))));
+        fields
+    }
+
+    /// Lowers the artifact to a JSON value.
+    pub fn to_json(&self) -> Json {
+        object(self.fields())
+    }
+
+    /// Serializes to a compact JSON string (newline-terminated).
+    pub fn to_json_string(&self) -> String {
+        let mut s = self.to_json().to_string_compact();
+        s.push('\n');
+        s
+    }
+
+    /// Writes the artifact to `path` and logs the destination to stderr.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_json_string())?;
+        eprintln!(
+            "wrote {} ({} rows, mode={}, seed={})",
+            path.display(),
+            self.rows.len(),
+            self.mode(),
+            self.seed
+        );
+        Ok(())
+    }
+}
+
+/// Per-SLO-tier (request category) aggregate within one [`BenchRow`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TierSummary {
-    /// Tier label (`coding`, `chat`, `summarize`).
+    /// Tier label (`coding`, `chat`, `summarization`).
     pub tier: String,
     /// Completed requests in the tier.
     pub requests: usize,
@@ -66,8 +201,21 @@ pub struct TierSummary {
     pub p99_tpot_ms: f64,
 }
 
-/// One benchmark configuration's results (one sweep point).
-#[derive(Debug, Clone, PartialEq)]
+impl TierSummary {
+    fn fields(&self) -> Fields {
+        vec![
+            ("tier", Field::Text(self.tier.clone())),
+            ("requests", Field::Num(self.requests as f64)),
+            ("attainment_pct", Field::Num(self.attainment_pct)),
+            ("mean_tpot_ms", Field::Num(self.mean_tpot_ms)),
+            ("p99_tpot_ms", Field::Num(self.p99_tpot_ms)),
+        ]
+    }
+}
+
+/// One SLO-sweep point (the kind-less artifact of the workload sweeps:
+/// `fig_cluster_scaling`, `fig_disagg_sweep`, `adaserve_sim`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchRow {
     /// Human-readable configuration label.
     pub label: String,
@@ -122,159 +270,34 @@ impl BenchRow {
     }
 }
 
-/// A complete benchmark artifact: run metadata plus one row per sweep
-/// point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchSummary {
-    /// Emitting binary, e.g. `"fig_cluster_scaling"`.
-    pub name: String,
-    /// `"smoke"` (CI-sized) or `"full"`.
-    pub mode: String,
-    /// The experiment seed the run used (`ADASERVE_SEED`-overridable).
-    pub seed: u64,
-    /// Simulated duration per sweep point, ms.
-    pub duration_ms: f64,
-    /// Sweep results.
-    pub rows: Vec<BenchRow>,
-}
-
-impl BenchSummary {
-    /// Creates an empty summary; `mode` must be `"smoke"` or `"full"`.
-    pub fn new(
-        name: impl Into<String>,
-        mode: impl Into<String>,
-        seed: u64,
-        duration_ms: f64,
-    ) -> Self {
-        let mode = mode.into();
-        assert!(
-            mode == "smoke" || mode == "full",
-            "mode must be smoke|full, got {mode:?}"
-        );
-        Self {
-            name: name.into(),
-            mode,
-            seed,
-            duration_ms,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one sweep point from its report.
-    pub fn push_report(&mut self, label: impl Into<String>, report: &SloReport) {
-        self.rows.push(BenchRow::from_report(label, report));
-    }
-
-    /// Lowers the summary to a JSON value.
-    pub fn to_json(&self) -> Json {
-        let mut top = BTreeMap::new();
-        top.insert(
-            "schema_version".into(),
-            Json::Num(f64::from(SCHEMA_VERSION)),
-        );
-        top.insert("name".into(), Json::Str(self.name.clone()));
-        top.insert("mode".into(), Json::Str(self.mode.clone()));
-        top.insert("seed".into(), Json::Int(self.seed));
-        top.insert("duration_ms".into(), Json::Num(self.duration_ms));
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut m = BTreeMap::new();
-                m.insert("label".into(), Json::Str(row.label.clone()));
-                m.insert("requests".into(), Json::Num(row.requests as f64));
-                m.insert(
-                    "slo_attainment_pct".into(),
-                    Json::Num(row.slo_attainment_pct),
-                );
-                m.insert("goodput_tps".into(), Json::Num(row.goodput_tps));
-                m.insert("throughput_tps".into(), Json::Num(row.throughput_tps));
-                m.insert(
-                    "ttft_attainment_pct".into(),
-                    Json::Num(row.ttft_attainment_pct),
-                );
-                m.insert("p50_tpot_ms".into(), Json::Num(row.p50_tpot_ms));
-                m.insert("p99_tpot_ms".into(), Json::Num(row.p99_tpot_ms));
-                m.insert("p50_ttft_ms".into(), Json::Num(row.p50_ttft_ms));
-                m.insert("p99_ttft_ms".into(), Json::Num(row.p99_ttft_ms));
-                let tiers = row
-                    .tiers
-                    .iter()
-                    .map(|t| {
-                        let mut tm = BTreeMap::new();
-                        tm.insert("tier".into(), Json::Str(t.tier.clone()));
-                        tm.insert("requests".into(), Json::Num(t.requests as f64));
-                        tm.insert("attainment_pct".into(), Json::Num(t.attainment_pct));
-                        tm.insert("mean_tpot_ms".into(), Json::Num(t.mean_tpot_ms));
-                        tm.insert("p99_tpot_ms".into(), Json::Num(t.p99_tpot_ms));
-                        Json::Obj(tm)
-                    })
-                    .collect();
-                m.insert("tiers".into(), Json::Arr(tiers));
-                Json::Obj(m)
-            })
-            .collect();
-        top.insert("rows".into(), Json::Arr(rows));
-        Json::Obj(top)
-    }
-
-    /// Serializes to a compact JSON string (newline-terminated).
-    pub fn to_json_string(&self) -> String {
-        let mut s = self.to_json().to_string_compact();
-        s.push('\n');
-        s
-    }
-
-    /// Writes the artifact to `path` and logs the destination to stderr.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        write_artifact(
-            path,
-            self.to_json_string(),
-            self.rows.len(),
-            &self.mode,
-            self.seed,
-        )
+impl Row for BenchRow {
+    const KIND: Option<&'static str> = None;
+    fn fields(&self) -> Fields {
+        let tiers = self.tiers.iter().map(TierSummary::fields).collect();
+        vec![
+            ("label", Field::Text(self.label.clone())),
+            ("requests", Field::Num(self.requests as f64)),
+            ("slo_attainment_pct", Field::Num(self.slo_attainment_pct)),
+            ("ttft_attainment_pct", Field::Num(self.ttft_attainment_pct)),
+            ("goodput_tps", Field::Num(self.goodput_tps)),
+            ("throughput_tps", Field::Num(self.throughput_tps)),
+            ("p50_tpot_ms", Field::Num(self.p50_tpot_ms)),
+            ("p99_tpot_ms", Field::Num(self.p99_tpot_ms)),
+            ("p50_ttft_ms", Field::Num(self.p50_ttft_ms)),
+            ("p99_ttft_ms", Field::Num(self.p99_ttft_ms)),
+            ("tiers", Field::Rows(tiers, TierSummary::default().fields())),
+        ]
     }
 }
 
-/// Writes a serialized artifact to `path` and logs the destination to
-/// stderr (shared by both artifact families so the emit contract cannot
-/// diverge).
-fn write_artifact(
-    path: &Path,
-    text: String,
-    rows: usize,
-    mode: &str,
-    seed: u64,
-) -> std::io::Result<()> {
-    std::fs::write(path, text)?;
-    eprintln!(
-        "wrote {} ({rows} rows, mode={mode}, seed={seed})",
-        path.display()
-    );
-    Ok(())
-}
-
-/// Requires `value` to be a finite number, recording a violation naming
-/// `what` otherwise (shared by both schema validators).
-fn need_num(errors: &mut Vec<String>, value: Option<&Json>, what: &str) -> Option<f64> {
-    match value.and_then(Json::as_num) {
-        Some(n) if n.is_finite() => Some(n),
-        _ => {
-            errors.push(format!("missing or non-numeric {what}"));
-            None
-        }
-    }
-}
-
-/// One wall-clock perf measurement (a [`PerfSummary`] row).
+/// One wall-clock perf measurement (`"kind": "perf"`, from `perf_report`).
 ///
 /// Unlike [`BenchRow`], these quantify the *implementation's* speed, not
 /// the modelled system's SLO behavior: how many simulated tokens and
 /// engine iterations one CPU second drives, how large the decoding batch
 /// got, what share of modelled time the (real, measured) scheduler took,
 /// and how well the LM-distribution cache hit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfRow {
     /// Configuration label, e.g. `"colocated rps=8"`.
     pub label: String,
@@ -304,127 +327,47 @@ pub struct PerfRow {
     pub trace_dropped: u64,
 }
 
-/// A machine-readable wall-clock perf artifact (`BENCH_perf.json`).
-///
-/// Distinguished from the SLO-sweep schema by `"kind": "perf"`;
-/// [`validate`] dispatches on that key, so both artifact families flow
-/// through the same `check_bench_json` CI gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfSummary {
-    /// Emitting binary (e.g. `"perf_report"`).
-    pub name: String,
-    /// `"smoke"` (CI-sized) or `"full"`.
-    pub mode: String,
-    /// The experiment seed the run used.
-    pub seed: u64,
-    /// Simulated duration per row, ms.
-    pub duration_ms: f64,
-    /// Measurements.
-    pub rows: Vec<PerfRow>,
-}
-
-impl PerfSummary {
-    /// Creates an empty perf summary; `mode` must be `"smoke"` or `"full"`.
-    pub fn new(
-        name: impl Into<String>,
-        mode: impl Into<String>,
-        seed: u64,
-        duration_ms: f64,
-    ) -> Self {
-        let mode = mode.into();
-        assert!(
-            mode == "smoke" || mode == "full",
-            "mode must be smoke|full, got {mode:?}"
-        );
-        Self {
-            name: name.into(),
-            mode,
-            seed,
-            duration_ms,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Lowers the summary to a JSON value.
-    pub fn to_json(&self) -> Json {
-        let mut top = BTreeMap::new();
-        top.insert(
-            "schema_version".into(),
-            Json::Num(f64::from(SCHEMA_VERSION)),
-        );
-        top.insert("kind".into(), Json::Str("perf".into()));
-        top.insert("name".into(), Json::Str(self.name.clone()));
-        top.insert("mode".into(), Json::Str(self.mode.clone()));
-        top.insert("seed".into(), Json::Int(self.seed));
-        top.insert("duration_ms".into(), Json::Num(self.duration_ms));
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut m = BTreeMap::new();
-                m.insert("label".into(), Json::Str(row.label.clone()));
-                m.insert("wall_ms".into(), Json::Num(row.wall_ms));
-                m.insert("sim_ms".into(), Json::Num(row.sim_ms));
-                m.insert("sim_tokens".into(), Json::Num(row.sim_tokens as f64));
-                m.insert(
-                    "sim_tokens_per_sec".into(),
-                    Json::Num(row.sim_tokens_per_sec),
-                );
-                m.insert("iterations".into(), Json::Num(row.iterations as f64));
-                m.insert(
-                    "iterations_per_sec".into(),
-                    Json::Num(row.iterations_per_sec),
-                );
-                m.insert(
-                    "peak_decode_batch".into(),
-                    Json::Num(row.peak_decode_batch as f64),
-                );
-                m.insert(
-                    "scheduling_share_pct".into(),
-                    Json::Num(row.scheduling_share_pct),
-                );
-                m.insert(
-                    "dist_cache_hit_rate_pct".into(),
-                    Json::Num(row.dist_cache_hit_rate_pct),
-                );
-                m.insert("trace_dropped".into(), Json::Num(row.trace_dropped as f64));
-                Json::Obj(m)
-            })
-            .collect();
-        top.insert("rows".into(), Json::Arr(rows));
-        Json::Obj(top)
-    }
-
-    /// Serializes to a compact JSON string (newline-terminated).
-    pub fn to_json_string(&self) -> String {
-        let mut s = self.to_json().to_string_compact();
-        s.push('\n');
-        s
-    }
-
-    /// Writes the artifact to `path` and logs the destination to stderr.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        write_artifact(
-            path,
-            self.to_json_string(),
-            self.rows.len(),
-            &self.mode,
-            self.seed,
-        )
+impl Row for PerfRow {
+    const KIND: Option<&'static str> = Some("perf");
+    fn fields(&self) -> Fields {
+        vec![
+            ("label", Field::Text(self.label.clone())),
+            ("wall_ms", Field::Num(self.wall_ms)),
+            ("sim_ms", Field::Num(self.sim_ms)),
+            ("sim_tokens", Field::Num(self.sim_tokens as f64)),
+            ("sim_tokens_per_sec", Field::Num(self.sim_tokens_per_sec)),
+            ("iterations", Field::Num(self.iterations as f64)),
+            ("iterations_per_sec", Field::Num(self.iterations_per_sec)),
+            (
+                "peak_decode_batch",
+                Field::Num(self.peak_decode_batch as f64),
+            ),
+            (
+                "scheduling_share_pct",
+                Field::Num(self.scheduling_share_pct),
+            ),
+            (
+                "dist_cache_hit_rate_pct",
+                Field::Num(self.dist_cache_hit_rate_pct),
+            ),
+            ("trace_dropped", Field::Num(self.trace_dropped as f64)),
+        ]
     }
 }
 
-/// One fleet-scaling measurement (a [`FleetSummary`] row): the same
-/// deployment at one replica count under one [`serving::ExecMode`].
+/// One fleet-scaling measurement (`"kind": "fleet"`, from
+/// `fig_fleet_scaling`): the same deployment at one replica count under
+/// one [`serving::ExecMode`].
 ///
 /// Sequential and sharded rows at the same replica count form a pair;
 /// `speedup` is the sequential row's wall-clock divided by this row's
 /// (1.0 on sequential rows by construction).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetRow {
     /// Replicas in the fleet at this sweep point.
     pub replicas: usize,
-    /// Executor mode label (`"sequential"`, `"sharded"`, `"sharded:N"`).
+    /// Executor mode label (`"sequential"`, `"sharded"`, `"sharded:N"`),
+    /// emitted as `exec`.
     pub mode: String,
     /// Worker threads the mode resolved to on the measuring host.
     pub workers: usize,
@@ -443,100 +386,31 @@ pub struct FleetRow {
     pub speedup: f64,
 }
 
-/// A machine-readable fleet-scaling artifact (`BENCH_fleet_scaling.json`):
-/// wall-clock of sequential vs sharded stepping as the fleet grows.
-///
-/// Distinguished by `"kind": "fleet"`; [`validate`] dispatches on that
-/// key so the artifact flows through the same `check_bench_json` CI gate
-/// as the SLO and perf families.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSummary {
-    /// Emitting binary (e.g. `"fig_fleet_scaling"`).
-    pub name: String,
-    /// `"smoke"` (CI-sized) or `"full"`.
-    pub mode: String,
-    /// The experiment seed the run used.
-    pub seed: u64,
-    /// Measurements.
-    pub rows: Vec<FleetRow>,
-}
-
-impl FleetSummary {
-    /// Creates an empty fleet summary; `mode` must be `"smoke"` or
-    /// `"full"`.
-    pub fn new(name: impl Into<String>, mode: impl Into<String>, seed: u64) -> Self {
-        let mode = mode.into();
-        assert!(
-            mode == "smoke" || mode == "full",
-            "mode must be smoke|full, got {mode:?}"
-        );
-        Self {
-            name: name.into(),
-            mode,
-            seed,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Lowers the summary to a JSON value.
-    pub fn to_json(&self) -> Json {
-        let mut top = BTreeMap::new();
-        top.insert(
-            "schema_version".into(),
-            Json::Num(f64::from(SCHEMA_VERSION)),
-        );
-        top.insert("kind".into(), Json::Str("fleet".into()));
-        top.insert("name".into(), Json::Str(self.name.clone()));
-        top.insert("mode".into(), Json::Str(self.mode.clone()));
-        top.insert("seed".into(), Json::Int(self.seed));
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut m = BTreeMap::new();
-                m.insert("replicas".into(), Json::Num(row.replicas as f64));
-                m.insert("exec".into(), Json::Str(row.mode.clone()));
-                m.insert("workers".into(), Json::Num(row.workers as f64));
-                m.insert("wall_ms".into(), Json::Num(row.wall_ms));
-                m.insert("sim_ms".into(), Json::Num(row.sim_ms));
-                m.insert("requests".into(), Json::Num(row.requests as f64));
-                m.insert("iterations".into(), Json::Num(row.iterations as f64));
-                m.insert(
-                    "iterations_per_sec".into(),
-                    Json::Num(row.iterations_per_sec),
-                );
-                m.insert("speedup".into(), Json::Num(row.speedup));
-                Json::Obj(m)
-            })
-            .collect();
-        top.insert("rows".into(), Json::Arr(rows));
-        Json::Obj(top)
-    }
-
-    /// Serializes to a compact JSON string (newline-terminated).
-    pub fn to_json_string(&self) -> String {
-        let mut s = self.to_json().to_string_compact();
-        s.push('\n');
-        s
-    }
-
-    /// Writes the artifact to `path` and logs the destination to stderr.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        write_artifact(
-            path,
-            self.to_json_string(),
-            self.rows.len(),
-            &self.mode,
-            self.seed,
-        )
+impl Row for FleetRow {
+    const KIND: Option<&'static str> = Some("fleet");
+    /// Each row's simulated span is its own `sim_ms` (it shrinks as the
+    /// fleet grows), so the envelope carries no `duration_ms`.
+    const TIMED: bool = false;
+    fn fields(&self) -> Fields {
+        vec![
+            ("replicas", Field::Num(self.replicas as f64)),
+            ("exec", Field::Text(self.mode.clone())),
+            ("workers", Field::Num(self.workers as f64)),
+            ("wall_ms", Field::Num(self.wall_ms)),
+            ("sim_ms", Field::Num(self.sim_ms)),
+            ("requests", Field::Num(self.requests as f64)),
+            ("iterations", Field::Num(self.iterations as f64)),
+            ("iterations_per_sec", Field::Num(self.iterations_per_sec)),
+            ("speedup", Field::Num(self.speedup)),
+        ]
     }
 }
 
-/// One prefix-cache measurement (a [`PrefixSummary`] row): one workload
-/// point (prefix share × RPS) served with the cross-request prefix cache
-/// on or off. Rows come in on/off pairs sharing a base label, so the
-/// `check_bench_json` gate can compare TTFT across each pair.
-#[derive(Debug, Clone, PartialEq)]
+/// One prefix-cache measurement (`"kind": "prefix"`, from
+/// `fig_prefix_cache`): one workload point (prefix share × RPS) served
+/// with the cross-request prefix cache on or off. Rows come in on/off
+/// pairs sharing a label, so the gate can compare TTFT across each pair.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrefixRow {
     /// Configuration label (identical for a row's on/off twin except the
     /// cache field), e.g. `"share=90% rps=3.0"`.
@@ -566,123 +440,35 @@ pub struct PrefixRow {
     pub ttft_attainment_pct: f64,
 }
 
-/// A machine-readable prefix-cache artifact (`BENCH_prefix.json`):
-/// TTFT/attainment with the cross-request prefix cache on vs off across
-/// a prefix-share × RPS sweep.
-///
-/// Distinguished by `"kind": "prefix"`; [`validate`] dispatches on that
-/// key so the artifact flows through the same `check_bench_json` CI gate
-/// as the other families.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrefixSummary {
-    /// Emitting binary (e.g. `"fig_prefix_cache"`).
-    pub name: String,
-    /// `"smoke"` (CI-sized) or `"full"`.
-    pub mode: String,
-    /// The experiment seed the run used.
-    pub seed: u64,
-    /// Simulated duration per sweep point, ms.
-    pub duration_ms: f64,
-    /// Measurements, in on/off pairs.
-    pub rows: Vec<PrefixRow>,
-}
-
-impl PrefixSummary {
-    /// Creates an empty prefix summary; `mode` must be `"smoke"` or
-    /// `"full"`.
-    pub fn new(
-        name: impl Into<String>,
-        mode: impl Into<String>,
-        seed: u64,
-        duration_ms: f64,
-    ) -> Self {
-        let mode = mode.into();
-        assert!(
-            mode == "smoke" || mode == "full",
-            "mode must be smoke|full, got {mode:?}"
-        );
-        Self {
-            name: name.into(),
-            mode,
-            seed,
-            duration_ms,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Lowers the summary to a JSON value.
-    pub fn to_json(&self) -> Json {
-        let mut top = BTreeMap::new();
-        top.insert(
-            "schema_version".into(),
-            Json::Num(f64::from(SCHEMA_VERSION)),
-        );
-        top.insert("kind".into(), Json::Str("prefix".into()));
-        top.insert("name".into(), Json::Str(self.name.clone()));
-        top.insert("mode".into(), Json::Str(self.mode.clone()));
-        top.insert("seed".into(), Json::Int(self.seed));
-        top.insert("duration_ms".into(), Json::Num(self.duration_ms));
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut m = BTreeMap::new();
-                m.insert("label".into(), Json::Str(row.label.clone()));
-                m.insert("cache".into(), Json::Str(row.cache.clone()));
-                m.insert("prefix_share_pct".into(), Json::Num(row.prefix_share_pct));
-                m.insert("rps".into(), Json::Num(row.rps));
-                m.insert("requests".into(), Json::Num(row.requests as f64));
-                m.insert(
-                    "prefix_hit_rate_pct".into(),
-                    Json::Num(row.prefix_hit_rate_pct),
-                );
-                m.insert(
-                    "prefill_tokens_saved".into(),
-                    Json::Num(row.prefill_tokens_saved as f64),
-                );
-                m.insert("mean_ttft_ms".into(), Json::Num(row.mean_ttft_ms));
-                m.insert("p50_ttft_ms".into(), Json::Num(row.p50_ttft_ms));
-                m.insert("p99_ttft_ms".into(), Json::Num(row.p99_ttft_ms));
-                m.insert(
-                    "slo_attainment_pct".into(),
-                    Json::Num(row.slo_attainment_pct),
-                );
-                m.insert(
-                    "ttft_attainment_pct".into(),
-                    Json::Num(row.ttft_attainment_pct),
-                );
-                Json::Obj(m)
-            })
-            .collect();
-        top.insert("rows".into(), Json::Arr(rows));
-        Json::Obj(top)
-    }
-
-    /// Serializes to a compact JSON string (newline-terminated).
-    pub fn to_json_string(&self) -> String {
-        let mut s = self.to_json().to_string_compact();
-        s.push('\n');
-        s
-    }
-
-    /// Writes the artifact to `path` and logs the destination to stderr.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        write_artifact(
-            path,
-            self.to_json_string(),
-            self.rows.len(),
-            &self.mode,
-            self.seed,
-        )
+impl Row for PrefixRow {
+    const KIND: Option<&'static str> = Some("prefix");
+    fn fields(&self) -> Fields {
+        vec![
+            ("label", Field::Text(self.label.clone())),
+            ("cache", Field::OneOf(self.cache.clone(), &["on", "off"])),
+            ("prefix_share_pct", Field::Num(self.prefix_share_pct)),
+            ("rps", Field::Num(self.rps)),
+            ("requests", Field::Num(self.requests as f64)),
+            ("prefix_hit_rate_pct", Field::Num(self.prefix_hit_rate_pct)),
+            (
+                "prefill_tokens_saved",
+                Field::Num(self.prefill_tokens_saved as f64),
+            ),
+            ("mean_ttft_ms", Field::Num(self.mean_ttft_ms)),
+            ("p50_ttft_ms", Field::Num(self.p50_ttft_ms)),
+            ("p99_ttft_ms", Field::Num(self.p99_ttft_ms)),
+            ("slo_attainment_pct", Field::Num(self.slo_attainment_pct)),
+            ("ttft_attainment_pct", Field::Num(self.ttft_attainment_pct)),
+        ]
     }
 }
 
-/// One SLO-attribution measurement (an [`AttributionSummary`] row): one
-/// SLO tier at one sweep point, with the violating requests' overshoot
-/// decomposed into phase shares (see
+/// One SLO-attribution measurement (`"kind": "attribution"`, from
+/// `fig_slo_attribution`): one SLO tier at one sweep point, with the
+/// violating requests' overshoot decomposed into phase shares (see
 /// `metrics::telemetry::SloAttribution`). Shares sum to ~100 for any row
 /// with requests; `dominant` names the largest phase.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttributionRow {
     /// Sweep-point label shared by the point's tier rows, e.g.
     /// `"rps=3.0"`.
@@ -736,117 +522,38 @@ impl AttributionRow {
     }
 }
 
-/// A machine-readable SLO-attribution artifact
-/// (`BENCH_attribution.json`): per-tier phase decomposition of SLO
-/// overshoot across an RPS sweep.
-///
-/// Distinguished by `"kind": "attribution"`; [`validate`] dispatches on
-/// that key so the artifact flows through the same `check_bench_json` CI
-/// gate as the other families (which additionally checks that each row's
-/// shares sum to ~100).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttributionSummary {
-    /// Emitting binary (e.g. `"fig_slo_attribution"`).
-    pub name: String,
-    /// `"smoke"` (CI-sized) or `"full"`.
-    pub mode: String,
-    /// The experiment seed the run used.
-    pub seed: u64,
-    /// Simulated duration per sweep point, ms.
-    pub duration_ms: f64,
-    /// Measurements, grouped by sweep point then tier.
-    pub rows: Vec<AttributionRow>,
-}
-
-impl AttributionSummary {
-    /// Creates an empty attribution summary; `mode` must be `"smoke"` or
-    /// `"full"`.
-    pub fn new(
-        name: impl Into<String>,
-        mode: impl Into<String>,
-        seed: u64,
-        duration_ms: f64,
-    ) -> Self {
-        let mode = mode.into();
-        assert!(
-            mode == "smoke" || mode == "full",
-            "mode must be smoke|full, got {mode:?}"
-        );
-        Self {
-            name: name.into(),
-            mode,
-            seed,
-            duration_ms,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Lowers the summary to a JSON value.
-    pub fn to_json(&self) -> Json {
-        let mut top = BTreeMap::new();
-        top.insert(
-            "schema_version".into(),
-            Json::Num(f64::from(SCHEMA_VERSION)),
-        );
-        top.insert("kind".into(), Json::Str("attribution".into()));
-        top.insert("name".into(), Json::Str(self.name.clone()));
-        top.insert("mode".into(), Json::Str(self.mode.clone()));
-        top.insert("seed".into(), Json::Int(self.seed));
-        top.insert("duration_ms".into(), Json::Num(self.duration_ms));
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut m = BTreeMap::new();
-                m.insert("label".into(), Json::Str(row.label.clone()));
-                m.insert("rps".into(), Json::Num(row.rps));
-                m.insert("tier".into(), Json::Str(row.tier.clone()));
-                m.insert("requests".into(), Json::Num(row.requests as f64));
-                m.insert("violations".into(), Json::Num(row.violations as f64));
-                m.insert("queueing_pct".into(), Json::Num(row.queueing_pct));
-                m.insert("prefill_pct".into(), Json::Num(row.prefill_pct));
-                m.insert("transfer_pct".into(), Json::Num(row.transfer_pct));
-                m.insert("decode_pct".into(), Json::Num(row.decode_pct));
-                m.insert("preemption_pct".into(), Json::Num(row.preemption_pct));
-                m.insert("dominant".into(), Json::Str(row.dominant.clone()));
-                m.insert(
-                    "fallback_all_requests".into(),
-                    Json::Bool(row.fallback_all_requests),
-                );
-                Json::Obj(m)
-            })
-            .collect();
-        top.insert("rows".into(), Json::Arr(rows));
-        Json::Obj(top)
-    }
-
-    /// Serializes to a compact JSON string (newline-terminated).
-    pub fn to_json_string(&self) -> String {
-        let mut s = self.to_json().to_string_compact();
-        s.push('\n');
-        s
-    }
-
-    /// Writes the artifact to `path` and logs the destination to stderr.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        write_artifact(
-            path,
-            self.to_json_string(),
-            self.rows.len(),
-            &self.mode,
-            self.seed,
-        )
+impl Row for AttributionRow {
+    const KIND: Option<&'static str> = Some("attribution");
+    fn fields(&self) -> Fields {
+        vec![
+            ("label", Field::Text(self.label.clone())),
+            ("rps", Field::Num(self.rps)),
+            ("tier", Field::Text(self.tier.clone())),
+            ("requests", Field::Num(self.requests as f64)),
+            ("violations", Field::Num(self.violations as f64)),
+            ("queueing_pct", Field::Num(self.queueing_pct)),
+            ("prefill_pct", Field::Num(self.prefill_pct)),
+            ("transfer_pct", Field::Num(self.transfer_pct)),
+            ("decode_pct", Field::Num(self.decode_pct)),
+            ("preemption_pct", Field::Num(self.preemption_pct)),
+            ("dominant", Field::Text(self.dominant.clone())),
+            (
+                "fallback_all_requests",
+                Field::Bool(self.fallback_all_requests),
+            ),
+        ]
     }
 }
 
-/// One autoscaling measurement (an [`AutoscaleSummary`] row): one
-/// provisioning/admission policy serving the same flash-crowd scenario.
+/// One autoscaling measurement (`"kind": "autoscale"`, from
+/// `fig_autoscale`): one provisioning/admission policy serving the same
+/// flash-crowd scenario.
 ///
 /// Rows come in triples — a statically max-provisioned reference plus
-/// autoscaled runs under FIFO and weighted-fair admission — so the
-/// `check_bench_json` gate can hold burst resilience, elasticity cost
-/// and tenant fairness against each other.
-#[derive(Debug, Clone, PartialEq)]
+/// autoscaled runs under FIFO and weighted-fair admission — so the gate
+/// can hold burst resilience, elasticity cost and tenant fairness
+/// against each other.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AutoscaleRow {
     /// Configuration label (`"static-max"`, `"autoscale-fifo"`,
     /// `"autoscale-fair"`).
@@ -884,124 +591,42 @@ pub struct AutoscaleRow {
     pub worst_tenant_pct: f64,
 }
 
-/// A machine-readable autoscaling artifact (`BENCH_autoscale.json`):
-/// attainment, replica-hours and tenant fairness through a flash crowd
-/// under static vs autoscaled provisioning and FIFO vs weighted-fair
-/// admission.
-///
-/// Distinguished by `"kind": "autoscale"`; [`validate`] dispatches on
-/// that key so the artifact flows through the same `check_bench_json` CI
-/// gate as the other families.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AutoscaleSummary {
-    /// Emitting binary (e.g. `"fig_autoscale"`).
-    pub name: String,
-    /// `"smoke"` (CI-sized) or `"full"`.
-    pub mode: String,
-    /// The experiment seed the run used.
-    pub seed: u64,
-    /// Simulated duration per row, ms.
-    pub duration_ms: f64,
-    /// Measurements, one per policy.
-    pub rows: Vec<AutoscaleRow>,
-}
-
-impl AutoscaleSummary {
-    /// Creates an empty autoscale summary; `mode` must be `"smoke"` or
-    /// `"full"`.
-    pub fn new(
-        name: impl Into<String>,
-        mode: impl Into<String>,
-        seed: u64,
-        duration_ms: f64,
-    ) -> Self {
-        let mode = mode.into();
-        assert!(
-            mode == "smoke" || mode == "full",
-            "mode must be smoke|full, got {mode:?}"
-        );
-        Self {
-            name: name.into(),
-            mode,
-            seed,
-            duration_ms,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Lowers the summary to a JSON value.
-    pub fn to_json(&self) -> Json {
-        let mut top = BTreeMap::new();
-        top.insert(
-            "schema_version".into(),
-            Json::Num(f64::from(SCHEMA_VERSION)),
-        );
-        top.insert("kind".into(), Json::Str("autoscale".into()));
-        top.insert("name".into(), Json::Str(self.name.clone()));
-        top.insert("mode".into(), Json::Str(self.mode.clone()));
-        top.insert("seed".into(), Json::Int(self.seed));
-        top.insert("duration_ms".into(), Json::Num(self.duration_ms));
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut m = BTreeMap::new();
-                m.insert("label".into(), Json::Str(row.label.clone()));
-                m.insert("policy".into(), Json::Str(row.policy.clone()));
-                m.insert("replicas_max".into(), Json::Num(row.replicas_max as f64));
-                m.insert("requests".into(), Json::Num(row.requests as f64));
-                m.insert("rejected".into(), Json::Num(row.rejected as f64));
-                m.insert(
-                    "slo_attainment_pct".into(),
-                    Json::Num(row.slo_attainment_pct),
-                );
-                m.insert(
-                    "ttft_attainment_pct".into(),
-                    Json::Num(row.ttft_attainment_pct),
-                );
-                m.insert(
-                    "steady_attainment_pct".into(),
-                    Json::Num(row.steady_attainment_pct),
-                );
-                m.insert(
-                    "burst_attainment_pct".into(),
-                    Json::Num(row.burst_attainment_pct),
-                );
-                m.insert("replica_hours".into(), Json::Num(row.replica_hours));
-                m.insert("peak_replicas".into(), Json::Num(row.peak_replicas as f64));
-                m.insert("joins".into(), Json::Num(row.joins as f64));
-                m.insert("drains".into(), Json::Num(row.drains as f64));
-                m.insert("tenant_spread_pct".into(), Json::Num(row.tenant_spread_pct));
-                m.insert("worst_tenant_pct".into(), Json::Num(row.worst_tenant_pct));
-                Json::Obj(m)
-            })
-            .collect();
-        top.insert("rows".into(), Json::Arr(rows));
-        Json::Obj(top)
-    }
-
-    /// Serializes to a compact JSON string (newline-terminated).
-    pub fn to_json_string(&self) -> String {
-        let mut s = self.to_json().to_string_compact();
-        s.push('\n');
-        s
-    }
-
-    /// Writes the artifact to `path` and logs the destination to stderr.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        write_artifact(
-            path,
-            self.to_json_string(),
-            self.rows.len(),
-            &self.mode,
-            self.seed,
-        )
+impl Row for AutoscaleRow {
+    const KIND: Option<&'static str> = Some("autoscale");
+    fn fields(&self) -> Fields {
+        vec![
+            ("label", Field::Text(self.label.clone())),
+            (
+                "policy",
+                Field::OneOf(self.policy.clone(), &["fifo", "fair"]),
+            ),
+            ("replicas_max", Field::Num(self.replicas_max as f64)),
+            ("requests", Field::Num(self.requests as f64)),
+            ("rejected", Field::Num(self.rejected as f64)),
+            ("slo_attainment_pct", Field::Num(self.slo_attainment_pct)),
+            ("ttft_attainment_pct", Field::Num(self.ttft_attainment_pct)),
+            (
+                "steady_attainment_pct",
+                Field::Num(self.steady_attainment_pct),
+            ),
+            (
+                "burst_attainment_pct",
+                Field::Num(self.burst_attainment_pct),
+            ),
+            ("replica_hours", Field::Num(self.replica_hours)),
+            ("peak_replicas", Field::Num(self.peak_replicas as f64)),
+            ("joins", Field::Num(self.joins as f64)),
+            ("drains", Field::Num(self.drains as f64)),
+            ("tenant_spread_pct", Field::Num(self.tenant_spread_pct)),
+            ("worst_tenant_pct", Field::Num(self.worst_tenant_pct)),
+        ]
     }
 }
 
-/// One chaos measurement (a [`ChaosSummary`] row): the same seeded
-/// crash-during-flash-crowd scenario under one recovery configuration.
-#[derive(Debug, Clone, PartialEq)]
+/// One chaos measurement (`"kind": "chaos"`, from `fig_chaos`): the same
+/// seeded crash-during-flash-crowd scenario under one recovery
+/// configuration.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosRow {
     /// Configuration label (`"no-fault"`, `"fault-no-recovery"`,
     /// `"fault-with-recovery"`).
@@ -1033,431 +658,93 @@ pub struct ChaosRow {
     pub mean_ttft_ms: f64,
 }
 
-/// A machine-readable chaos artifact (`BENCH_chaos.json`): request
-/// conservation and offered-basis SLO attainment through a seeded
-/// crash-during-flash-crowd scenario, served fault-free, faulted without
-/// recovery, and faulted with retry/backoff recovery.
-///
-/// Distinguished by `"kind": "chaos"`; [`validate`] dispatches on that
-/// key so the artifact flows through the same `check_bench_json` CI gate
-/// as the other families.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosSummary {
-    /// Emitting binary (e.g. `"fig_chaos"`).
-    pub name: String,
-    /// `"smoke"` (CI-sized) or `"full"`.
-    pub mode: String,
-    /// The experiment seed the run used.
-    pub seed: u64,
-    /// Simulated duration per row, ms.
-    pub duration_ms: f64,
-    /// Measurements, one per recovery configuration.
-    pub rows: Vec<ChaosRow>,
-}
-
-impl ChaosSummary {
-    /// Creates an empty chaos summary; `mode` must be `"smoke"` or
-    /// `"full"`.
-    pub fn new(
-        name: impl Into<String>,
-        mode: impl Into<String>,
-        seed: u64,
-        duration_ms: f64,
-    ) -> Self {
-        let mode = mode.into();
-        assert!(
-            mode == "smoke" || mode == "full",
-            "mode must be smoke|full, got {mode:?}"
-        );
-        Self {
-            name: name.into(),
-            mode,
-            seed,
-            duration_ms,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Lowers the summary to a JSON value.
-    pub fn to_json(&self) -> Json {
-        let mut top = BTreeMap::new();
-        top.insert(
-            "schema_version".into(),
-            Json::Num(f64::from(SCHEMA_VERSION)),
-        );
-        top.insert("kind".into(), Json::Str("chaos".into()));
-        top.insert("name".into(), Json::Str(self.name.clone()));
-        top.insert("mode".into(), Json::Str(self.mode.clone()));
-        top.insert("seed".into(), Json::Int(self.seed));
-        top.insert("duration_ms".into(), Json::Num(self.duration_ms));
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut m = BTreeMap::new();
-                m.insert("label".into(), Json::Str(row.label.clone()));
-                m.insert("recovery".into(), Json::Str(row.recovery.clone()));
-                m.insert("faults".into(), Json::Num(row.faults as f64));
-                m.insert("offered".into(), Json::Num(row.offered as f64));
-                m.insert("finished".into(), Json::Num(row.finished as f64));
-                m.insert("rejected".into(), Json::Num(row.rejected as f64));
-                m.insert("retries".into(), Json::Num(row.retries as f64));
-                m.insert(
-                    "slo_attainment_pct".into(),
-                    Json::Num(row.slo_attainment_pct),
-                );
-                m.insert(
-                    "offered_attainment_pct".into(),
-                    Json::Num(row.offered_attainment_pct),
-                );
-                m.insert("mean_ttft_ms".into(), Json::Num(row.mean_ttft_ms));
-                Json::Obj(m)
-            })
-            .collect();
-        top.insert("rows".into(), Json::Arr(rows));
-        Json::Obj(top)
-    }
-
-    /// Serializes to a compact JSON string (newline-terminated).
-    pub fn to_json_string(&self) -> String {
-        let mut s = self.to_json().to_string_compact();
-        s.push('\n');
-        s
-    }
-
-    /// Writes the artifact to `path` and logs the destination to stderr.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        write_artifact(
-            path,
-            self.to_json_string(),
-            self.rows.len(),
-            &self.mode,
-            self.seed,
-        )
+impl Row for ChaosRow {
+    const KIND: Option<&'static str> = Some("chaos");
+    fn fields(&self) -> Fields {
+        let recovery = Field::OneOf(self.recovery.clone(), &["n/a", "none", "retry"]);
+        vec![
+            ("label", Field::Text(self.label.clone())),
+            ("recovery", recovery),
+            ("faults", Field::Num(self.faults as f64)),
+            ("offered", Field::Num(self.offered as f64)),
+            ("finished", Field::Num(self.finished as f64)),
+            ("rejected", Field::Num(self.rejected as f64)),
+            ("retries", Field::Num(self.retries as f64)),
+            ("slo_attainment_pct", Field::Num(self.slo_attainment_pct)),
+            (
+                "offered_attainment_pct",
+                Field::Num(self.offered_attainment_pct),
+            ),
+            ("mean_ttft_ms", Field::Num(self.mean_ttft_ms)),
+        ]
     }
 }
 
-/// Validates a chaos artifact (see [`ChaosSummary`]).
-pub fn validate_chaos(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    match need_num(&mut errors, doc.get("schema_version"), "schema_version") {
-        Some(v) if v == f64::from(SCHEMA_VERSION) => {}
-        Some(v) => errors.push(format!("unsupported schema_version {v}")),
-        None => {}
-    }
-    if doc
-        .get("name")
-        .and_then(Json::as_str)
-        .is_none_or(str::is_empty)
-    {
-        errors.push("missing or empty name".into());
-    }
-    match doc.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => errors.push(format!("mode must be \"smoke\" or \"full\", got {other:?}")),
-    }
-    need_num(&mut errors, doc.get("seed"), "seed");
-    need_num(&mut errors, doc.get("duration_ms"), "duration_ms");
-    match doc.get("rows").and_then(Json::as_arr) {
-        None => errors.push("missing rows array".into()),
-        Some([]) => errors.push("rows is empty".into()),
-        Some(rows) => {
-            for (i, row) in rows.iter().enumerate() {
-                if row
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("rows[{i}]: missing or empty label"));
-                }
-                match row.get("recovery").and_then(Json::as_str) {
-                    Some("n/a") | Some("none") | Some("retry") => {}
-                    other => errors.push(format!(
-                        "rows[{i}]: recovery must be \"n/a\", \"none\" or \"retry\", got {other:?}"
-                    )),
-                }
-                for key in [
-                    "faults",
-                    "offered",
-                    "finished",
-                    "rejected",
-                    "retries",
-                    "slo_attainment_pct",
-                    "offered_attainment_pct",
-                    "mean_ttft_ms",
-                ] {
-                    need_num(&mut errors, row.get(key), &format!("rows[{i}].{key}"));
-                }
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
+/// A semantic gate: the violations it finds in a schema-valid document's
+/// rows (empty when the tracked property holds).
+type Gate = fn(&[Json]) -> Vec<String>;
+
+/// What [`validate`] holds a document of one kind to.
+struct Spec {
+    /// The `kind` member that selects this spec.
+    kind: Option<&'static str>,
+    /// The fields of a default artifact of the kind.
+    schema: fn() -> Fields,
+    /// The kind's semantic gate.
+    gate: Gate,
+}
+
+const fn spec<R: Row>(gate: Gate) -> Spec {
+    Spec {
+        kind: R::KIND,
+        schema: schema::<R>,
+        gate,
     }
 }
 
-/// Validates an autoscaling artifact (see [`AutoscaleSummary`]).
-pub fn validate_autoscale(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    match need_num(&mut errors, doc.get("schema_version"), "schema_version") {
-        Some(v) if v == f64::from(SCHEMA_VERSION) => {}
-        Some(v) => errors.push(format!("unsupported schema_version {v}")),
-        None => {}
-    }
-    if doc
-        .get("name")
-        .and_then(Json::as_str)
-        .is_none_or(str::is_empty)
-    {
-        errors.push("missing or empty name".into());
-    }
-    match doc.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => errors.push(format!("mode must be \"smoke\" or \"full\", got {other:?}")),
-    }
-    need_num(&mut errors, doc.get("seed"), "seed");
-    need_num(&mut errors, doc.get("duration_ms"), "duration_ms");
-    match doc.get("rows").and_then(Json::as_arr) {
-        None => errors.push("missing rows array".into()),
-        Some([]) => errors.push("rows is empty".into()),
-        Some(rows) => {
-            for (i, row) in rows.iter().enumerate() {
-                if row
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("rows[{i}]: missing or empty label"));
-                }
-                match row.get("policy").and_then(Json::as_str) {
-                    Some("fifo") | Some("fair") => {}
-                    other => errors.push(format!(
-                        "rows[{i}]: policy must be \"fifo\" or \"fair\", got {other:?}"
-                    )),
-                }
-                for key in [
-                    "replicas_max",
-                    "requests",
-                    "rejected",
-                    "slo_attainment_pct",
-                    "ttft_attainment_pct",
-                    "steady_attainment_pct",
-                    "burst_attainment_pct",
-                    "replica_hours",
-                    "peak_replicas",
-                    "joins",
-                    "drains",
-                    "tenant_spread_pct",
-                    "worst_tenant_pct",
-                ] {
-                    need_num(&mut errors, row.get(key), &format!("rows[{i}].{key}"));
-                }
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+fn schema<R: Row>() -> Fields {
+    Artifact::<R>::new("", false, 0, R::TIMED.then_some(0.0)).fields()
 }
 
-/// Validates an SLO-attribution artifact (see [`AttributionSummary`]).
-pub fn validate_attribution(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    match need_num(&mut errors, doc.get("schema_version"), "schema_version") {
-        Some(v) if v == f64::from(SCHEMA_VERSION) => {}
-        Some(v) => errors.push(format!("unsupported schema_version {v}")),
-        None => {}
-    }
-    if doc
-        .get("name")
-        .and_then(Json::as_str)
-        .is_none_or(str::is_empty)
-    {
-        errors.push("missing or empty name".into());
-    }
-    match doc.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => errors.push(format!("mode must be \"smoke\" or \"full\", got {other:?}")),
-    }
-    need_num(&mut errors, doc.get("seed"), "seed");
-    need_num(&mut errors, doc.get("duration_ms"), "duration_ms");
-    match doc.get("rows").and_then(Json::as_arr) {
-        None => errors.push("missing rows array".into()),
-        Some([]) => errors.push("rows is empty".into()),
-        Some(rows) => {
-            for (i, row) in rows.iter().enumerate() {
-                for key in ["label", "tier", "dominant"] {
-                    if row
-                        .get(key)
-                        .and_then(Json::as_str)
-                        .is_none_or(str::is_empty)
-                    {
-                        errors.push(format!("rows[{i}]: missing or empty {key}"));
-                    }
-                }
-                if !matches!(row.get("fallback_all_requests"), Some(Json::Bool(_))) {
-                    errors.push(format!(
-                        "rows[{i}]: missing or non-bool fallback_all_requests"
-                    ));
-                }
-                for key in [
-                    "rps",
-                    "requests",
-                    "violations",
-                    "queueing_pct",
-                    "prefill_pct",
-                    "transfer_pct",
-                    "decode_pct",
-                    "preemption_pct",
-                ] {
-                    need_num(&mut errors, row.get(key), &format!("rows[{i}].{key}"));
-                }
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
+/// Every artifact kind, with its gate.
+const KINDS: [Spec; 7] = [
+    spec::<BenchRow>(|_| Vec::new()),
+    spec::<PerfRow>(gates::perf),
+    spec::<FleetRow>(gates::fleet),
+    spec::<PrefixRow>(gates::prefix),
+    spec::<AttributionRow>(gates::attribution),
+    spec::<AutoscaleRow>(gates::autoscale),
+    spec::<ChaosRow>(gates::chaos),
+];
 
-/// Validates a prefix-cache artifact (see [`PrefixSummary`]).
-pub fn validate_prefix(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    match need_num(&mut errors, doc.get("schema_version"), "schema_version") {
-        Some(v) if v == f64::from(SCHEMA_VERSION) => {}
-        Some(v) => errors.push(format!("unsupported schema_version {v}")),
-        None => {}
-    }
-    if doc
-        .get("name")
-        .and_then(Json::as_str)
-        .is_none_or(str::is_empty)
-    {
-        errors.push("missing or empty name".into());
-    }
-    match doc.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => errors.push(format!("mode must be \"smoke\" or \"full\", got {other:?}")),
-    }
-    need_num(&mut errors, doc.get("seed"), "seed");
-    need_num(&mut errors, doc.get("duration_ms"), "duration_ms");
-    match doc.get("rows").and_then(Json::as_arr) {
-        None => errors.push("missing rows array".into()),
-        Some([]) => errors.push("rows is empty".into()),
-        Some(rows) => {
-            for (i, row) in rows.iter().enumerate() {
-                if row
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("rows[{i}]: missing or empty label"));
-                }
-                match row.get("cache").and_then(Json::as_str) {
-                    Some("on") | Some("off") => {}
-                    other => errors.push(format!(
-                        "rows[{i}]: cache must be \"on\" or \"off\", got {other:?}"
-                    )),
-                }
-                for key in [
-                    "prefix_share_pct",
-                    "rps",
-                    "requests",
-                    "prefix_hit_rate_pct",
-                    "prefill_tokens_saved",
-                    "mean_ttft_ms",
-                    "p50_ttft_ms",
-                    "p99_ttft_ms",
-                    "slo_attainment_pct",
-                    "ttft_attainment_pct",
-                ] {
-                    need_num(&mut errors, row.get(key), &format!("rows[{i}].{key}"));
-                }
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
-/// Validates a parsed document, dispatching on its `kind`: documents
-/// marked `"kind": "perf"` check against the perf schema, `"kind":
-/// "fleet"` against the fleet-scaling schema, `"kind": "prefix"` against
-/// the prefix-cache schema, `"kind": "attribution"` against the
-/// SLO-attribution schema, `"kind": "autoscale"` against the autoscaling
-/// schema, everything else against
-/// the SLO-sweep schema of [`SCHEMA_VERSION`] (older versions are
-/// rejected — version 1 lacked the TTFT keys).
+/// Validates a parsed document against its kind: the SLO sweep (no
+/// `kind`), `"perf"`, `"fleet"`, `"prefix"`, `"attribution"`,
+/// `"autoscale"` or `"chaos"`. Any other `kind` is rejected by name, as
+/// is a `schema_version` other than [`SCHEMA_VERSION`] (version 1 lacked
+/// the TTFT keys). A schema-valid document must also pass its kind's
+/// semantic gate (`docs/BENCH.md` lists them).
 ///
 /// Returns every violation found (not just the first), so a CI failure
 /// message names all missing keys at once.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    match doc.get("kind").and_then(Json::as_str) {
-        Some("perf") => validate_perf(doc),
-        Some("fleet") => validate_fleet(doc),
-        Some("prefix") => validate_prefix(doc),
-        Some("attribution") => validate_attribution(doc),
-        Some("autoscale") => validate_autoscale(doc),
-        Some("chaos") => validate_chaos(doc),
-        _ => validate_slo(doc),
-    }
-}
-
-/// Validates a fleet-scaling artifact (see [`FleetSummary`]).
-pub fn validate_fleet(doc: &Json) -> Result<(), Vec<String>> {
+    let kind = doc.get("kind");
+    let Some(spec) = KINDS
+        .iter()
+        .find(|s| kind.map(Json::as_str) == s.kind.map(Some))
+    else {
+        let kind = kind.map_or_else(String::new, Json::to_string_compact);
+        return Err(vec![format!("unknown kind {kind}")]);
+    };
     let mut errors = Vec::new();
-    match need_num(&mut errors, doc.get("schema_version"), "schema_version") {
-        Some(v) if v == f64::from(SCHEMA_VERSION) => {}
-        Some(v) => errors.push(format!("unsupported schema_version {v}")),
-        None => {}
+    check_fields(&(spec.schema)(), doc, "", &mut errors);
+    let version = doc.get("schema_version").and_then(Json::as_num);
+    if let Some(v) = version.filter(|v| v.is_finite() && *v != f64::from(SCHEMA_VERSION)) {
+        errors.push(format!("unsupported schema_version {v}"));
     }
-    if doc
-        .get("name")
-        .and_then(Json::as_str)
-        .is_none_or(str::is_empty)
-    {
-        errors.push("missing or empty name".into());
-    }
-    match doc.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => errors.push(format!("mode must be \"smoke\" or \"full\", got {other:?}")),
-    }
-    need_num(&mut errors, doc.get("seed"), "seed");
     match doc.get("rows").and_then(Json::as_arr) {
-        None => errors.push("missing rows array".into()),
         Some([]) => errors.push("rows is empty".into()),
-        Some(rows) => {
-            for (i, row) in rows.iter().enumerate() {
-                if row
-                    .get("exec")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("rows[{i}]: missing or empty exec"));
-                }
-                for key in [
-                    "replicas",
-                    "workers",
-                    "wall_ms",
-                    "sim_ms",
-                    "requests",
-                    "iterations",
-                    "iterations_per_sec",
-                    "speedup",
-                ] {
-                    need_num(&mut errors, row.get(key), &format!("rows[{i}].{key}"));
-                }
-            }
-        }
+        Some(rows) if errors.is_empty() => errors = (spec.gate)(rows),
+        _ => {}
     }
     if errors.is_empty() {
         Ok(())
@@ -1466,141 +753,346 @@ pub fn validate_fleet(doc: &Json) -> Result<(), Vec<String>> {
     }
 }
 
-/// Validates a perf artifact (see [`PerfSummary`]).
-pub fn validate_perf(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    match need_num(&mut errors, doc.get("schema_version"), "schema_version") {
-        Some(v) if v == f64::from(SCHEMA_VERSION) => {}
-        Some(v) => errors.push(format!("unsupported schema_version {v}")),
-        None => {}
-    }
-    if doc
-        .get("name")
-        .and_then(Json::as_str)
-        .is_none_or(str::is_empty)
-    {
-        errors.push("missing or empty name".into());
-    }
-    match doc.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => errors.push(format!("mode must be \"smoke\" or \"full\", got {other:?}")),
-    }
-    need_num(&mut errors, doc.get("seed"), "seed");
-    need_num(&mut errors, doc.get("duration_ms"), "duration_ms");
-    match doc.get("rows").and_then(Json::as_arr) {
-        None => errors.push("missing rows array".into()),
-        Some([]) => errors.push("rows is empty".into()),
-        Some(rows) => {
-            for (i, row) in rows.iter().enumerate() {
-                if row
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("rows[{i}]: missing or empty label"));
-                }
-                for key in [
-                    "wall_ms",
-                    "sim_ms",
-                    "sim_tokens",
-                    "sim_tokens_per_sec",
-                    "iterations",
-                    "iterations_per_sec",
-                    "peak_decode_batch",
-                    "scheduling_share_pct",
-                    "dist_cache_hit_rate_pct",
-                    "trace_dropped",
-                ] {
-                    need_num(&mut errors, row.get(key), &format!("rows[{i}].{key}"));
+/// Checks `obj` against `schema`, recording one violation per bad member.
+/// `path` locates `obj` in the document: empty at the top level, else
+/// e.g. `rows[3]` or `rows[3].tiers[0]`.
+fn check_fields(schema: &Fields, obj: &Json, path: &str, errors: &mut Vec<String>) {
+    let (at, dot) = if path.is_empty() {
+        (String::new(), String::new())
+    } else {
+        (format!("{path}: "), format!("{path}."))
+    };
+    for (key, field) in schema {
+        let value = obj.get(key);
+        match field {
+            Field::Num(_) | Field::Int(_) => {
+                if !value.and_then(Json::as_num).is_some_and(f64::is_finite) {
+                    errors.push(format!("missing or non-numeric {dot}{key}"));
                 }
             }
+            Field::Text(_) => {
+                if value.and_then(Json::as_str).is_none_or(str::is_empty) {
+                    errors.push(format!("{at}missing or empty {key}"));
+                }
+            }
+            Field::OneOf(_, choices) => match value.and_then(Json::as_str) {
+                Some(s) if choices.contains(&s) => {}
+                other => {
+                    let quoted: Vec<String> = choices.iter().map(|c| format!("{c:?}")).collect();
+                    let (last, rest) = quoted.split_last().expect("a choice");
+                    errors.push(format!(
+                        "{at}{key} must be {} or {last}, got {other:?}",
+                        rest.join(", ")
+                    ));
+                }
+            },
+            Field::Bool(_) => {
+                if !matches!(value, Some(Json::Bool(_))) {
+                    errors.push(format!("{at}missing or non-bool {key}"));
+                }
+            }
+            Field::Rows(_, element) => match value.and_then(Json::as_arr) {
+                None => errors.push(format!("{at}missing {key} array")),
+                Some(items) => {
+                    for (i, item) in items.iter().enumerate() {
+                        check_fields(element, item, &format!("{dot}{key}[{i}]"), errors);
+                    }
+                }
+            },
         }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
     }
 }
 
-/// Validates an SLO-sweep artifact (the historical `BENCH_*.json` shape).
-fn validate_slo(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
+/// The semantic gates of [`KINDS`]. Each holds a tracked property over
+/// the rows of a schema-valid artifact, so every key it reads is present
+/// and well-typed.
+mod gates {
+    use crate::json::Json;
 
-    match need_num(&mut errors, doc.get("schema_version"), "schema_version") {
-        Some(v) if v == f64::from(SCHEMA_VERSION) => {}
-        Some(v) => errors.push(format!("unsupported schema_version {v}")),
-        None => {}
+    fn num(row: &Json, key: &str) -> f64 {
+        row.get(key).and_then(Json::as_num).unwrap_or(f64::NAN)
     }
-    if doc
-        .get("name")
-        .and_then(Json::as_str)
-        .is_none_or(str::is_empty)
-    {
-        errors.push("missing or empty name".into());
-    }
-    match doc.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => errors.push(format!("mode must be \"smoke\" or \"full\", got {other:?}")),
-    }
-    need_num(&mut errors, doc.get("seed"), "seed");
-    need_num(&mut errors, doc.get("duration_ms"), "duration_ms");
 
-    match doc.get("rows").and_then(Json::as_arr) {
-        None => errors.push("missing rows array".into()),
-        Some([]) => errors.push("rows is empty".into()),
-        Some(rows) => {
-            for (i, row) in rows.iter().enumerate() {
-                if row
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    errors.push(format!("rows[{i}]: missing or empty label"));
+    fn text<'a>(row: &'a Json, key: &str) -> &'a str {
+        row.get(key).and_then(Json::as_str).unwrap_or("")
+    }
+
+    /// Minimum accepted 4-replica sharded speedup.
+    ///
+    /// On a multi-core host the sharded executor genuinely wins at 4
+    /// replicas; on a single-core CI runner the two executors are within
+    /// timer noise of each other (batching only amortizes per-step
+    /// scheduling scans there). Repeated best-of-5 sweeps on one core put
+    /// the 4-replica pair within ±5% run to run, while the regression this
+    /// gate exists to catch — the executor falling back to per-step thread
+    /// spawning — measured ~0.92. A 0.95 floor separates the two without
+    /// flaking on jitter.
+    const SPEEDUP_FLOOR: f64 = 0.95;
+
+    /// Every 4-replica row measured under a sharded executor must report
+    /// `speedup >= SPEEDUP_FLOOR` (vacuous under `ADASERVE_EXEC=sequential`).
+    pub(super) fn fleet(rows: &[Json]) -> Vec<String> {
+        rows.iter()
+            .filter(|r| num(r, "replicas") == 4.0 && text(r, "exec").starts_with("sharded"))
+            .filter(|r| num(r, "speedup") < SPEEDUP_FLOOR)
+            .map(|r| {
+                format!(
+                    "4-replica {} row is slower than sequential: speedup {:.3} < \
+                     {SPEEDUP_FLOOR} — the executor lost its tracked win",
+                    text(r, "exec"),
+                    num(r, "speedup")
+                )
+            })
+            .collect()
+    }
+
+    /// Minimum accepted prefix-cache hit rate (percent) on a cache-on row
+    /// whose workload shares a prefix.
+    ///
+    /// The sweep's lowest shared-prompt share is 30%, so a healthy cache
+    /// sees hit rates well above this on every row; the gate exists to
+    /// catch the cache silently never matching (hash drift, pin leak
+    /// evicting everything), which reads as ~0%, not as a modest dip.
+    const HIT_RATE_FLOOR_PCT: f64 = 10.0;
+
+    /// Tolerated p50 TTFT ratio (on / off) before a cache-on row counts as
+    /// a regression. Skipped prefill only removes work, so the cache must
+    /// not make the median first token slower; 1.05 absorbs scheduling
+    /// noise at smoke durations.
+    const TTFT_NOISE_FACTOR: f64 = 1.05;
+
+    /// Every cache-on row over shared traffic must hit at least
+    /// `HIT_RATE_FLOOR_PCT`, and no cache-on row may have a p50 TTFT worse
+    /// than its cache-off twin (same `label`) beyond `TTFT_NOISE_FACTOR`.
+    pub(super) fn prefix(rows: &[Json]) -> Vec<String> {
+        let mut errors = Vec::new();
+        for on in rows.iter().filter(|r| text(r, "cache") == "on") {
+            let label = text(on, "label");
+            let hit = num(on, "prefix_hit_rate_pct");
+            if num(on, "prefix_share_pct") > 0.0 && hit < HIT_RATE_FLOOR_PCT {
+                errors.push(format!(
+                    "{label}: cache-on row over shared traffic hit only {hit:.1}% < \
+                     {HIT_RATE_FLOOR_PCT}% — the prefix cache stopped matching"
+                ));
+            }
+            let on_p50 = num(on, "p50_ttft_ms");
+            let off = rows
+                .iter()
+                .find(|r| text(r, "label") == label && text(r, "cache") == "off");
+            if let Some(off) = off.map(|r| num(r, "p50_ttft_ms")) {
+                if on_p50 > off * TTFT_NOISE_FACTOR {
+                    errors.push(format!(
+                        "{label}: cache-on p50 TTFT {on_p50:.1} ms regressed past cache-off \
+                         {off:.1} ms × {TTFT_NOISE_FACTOR} — reuse made latency worse"
+                    ));
                 }
-                for key in [
-                    "requests",
-                    "slo_attainment_pct",
-                    "ttft_attainment_pct",
-                    "goodput_tps",
-                    "throughput_tps",
-                    "p50_tpot_ms",
-                    "p99_tpot_ms",
-                    "p50_ttft_ms",
-                    "p99_ttft_ms",
-                ] {
-                    need_num(&mut errors, row.get(key), &format!("rows[{i}].{key}"));
+            }
+        }
+        errors
+    }
+
+    /// Tolerated share-sum deviation from 100% on an attribution row
+    /// (percentage points). Each request's shares sum to exactly 100 and
+    /// the pooled mean preserves that; anything past rounding noise means
+    /// the decomposition dropped or double-counted a phase.
+    const SHARE_SUM_TOLERANCE_PCT: f64 = 0.5;
+
+    /// Every row with requests must report phase shares summing to ~100%.
+    pub(super) fn attribution(rows: &[Json]) -> Vec<String> {
+        let phases = [
+            "queueing_pct",
+            "prefill_pct",
+            "transfer_pct",
+            "decode_pct",
+            "preemption_pct",
+        ];
+        rows.iter()
+            .filter(|r| num(r, "requests") != 0.0)
+            .filter_map(|r| {
+                let sum: f64 = phases.iter().map(|k| num(r, k)).sum();
+                ((sum - 100.0).abs() > SHARE_SUM_TOLERANCE_PCT).then(|| {
+                    format!(
+                        "{} tier={}: phase shares sum to {sum:.2}% (expected 100 ± \
+                         {SHARE_SUM_TOLERANCE_PCT}) — the attribution dropped or \
+                         double-counted a phase",
+                        text(r, "label"),
+                        text(r, "tier")
+                    )
+                })
+            })
+            .collect()
+    }
+
+    /// Tolerated wall-clock ratio of the explicit `tracer=off` perf row
+    /// over its base colocated row. Both run the identical hot loop — a
+    /// disabled tracer is one branch per iteration — so the pair must land
+    /// within timer noise; a real regression (the tracer doing work while
+    /// disabled) reads far past 2%.
+    const TRACER_OVERHEAD_FACTOR: f64 = 1.02;
+
+    /// The `tracer=off` row may not be slower than the base colocated row
+    /// beyond `TRACER_OVERHEAD_FACTOR`, and every colocated row must
+    /// report the same `dist_cache_hit_rate_pct` (they serve identical
+    /// records on fresh engines; a spread means runs shared a memo).
+    pub(super) fn perf(rows: &[Json]) -> Vec<String> {
+        let colocated: Vec<&Json> = rows
+            .iter()
+            .filter(|r| text(r, "label").starts_with("colocated"))
+            .collect();
+        let wall = |pred: &dyn Fn(&str) -> bool| {
+            colocated
+                .iter()
+                .find(|r| pred(text(r, "label")))
+                .map(|r| num(r, "wall_ms"))
+        };
+        let mut errors = Vec::new();
+        if let (Some(base), Some(off)) = (
+            wall(&|l| !l.contains("tracer=")),
+            wall(&|l| l.contains("tracer=off")),
+        ) {
+            if off > base * TRACER_OVERHEAD_FACTOR {
+                errors.push(format!(
+                    "tracer=off row wall-clock {off:.1} ms exceeds base colocated \
+                     {base:.1} ms × {TRACER_OVERHEAD_FACTOR} — the disabled tracer is not free"
+                ));
+            }
+        }
+        let hit = |r: &Json| num(r, "dist_cache_hit_rate_pct");
+        if colocated.windows(2).any(|w| hit(w[0]) != hit(w[1])) {
+            let listed: Vec<String> = colocated
+                .iter()
+                .map(|r| format!("{}: {}", text(r, "label"), hit(r)))
+                .collect();
+            errors.push(format!(
+                "colocated rows report different distribution cache hit rates ({}) — \
+                 their engines shared a memo across runs",
+                listed.join(", ")
+            ));
+        }
+        errors
+    }
+
+    /// Ceiling on an autoscaled row's `replica_hours` as a fraction of the
+    /// static-max reference row's. Elasticity is the subsystem's tracked
+    /// win: the controller drains down to one replica through both quiet
+    /// thirds of the run, which measures 0.67–0.83× static across smoke
+    /// and full sweeps; 0.95 fails any controller that stopped draining
+    /// while staying clear of rounding noise on short smoke runs.
+    const REPLICA_HOURS_CEILING_FACTOR: f64 = 0.95;
+
+    /// Tolerated joint-attainment drop (percentage points) from an
+    /// autoscaled row's steady window to its flash-crowd window. The burst
+    /// peak deliberately overloads even the full fleet — the static
+    /// reference itself drops ~45 pts in full sweeps and the autoscaled
+    /// rows 19–38 — so this bounds collapse, not degradation: a controller
+    /// that reacts late but does react stays under it, while a burst-window
+    /// wipeout (attainment near zero against a healthy steady state)
+    /// fails. A controller that never reacts at all is caught by the
+    /// join/peak check instead, since it depresses both windows alike.
+    const BURST_DROP_TOLERANCE_PTS: f64 = 50.0;
+
+    /// Every autoscaled row (any label but `static-max`, the provisioning
+    /// reference) must have scaled (≥ 1 join, peak past the floor), bill
+    /// under `REPLICA_HOURS_CEILING_FACTOR` of the reference and hold
+    /// burst attainment within `BURST_DROP_TOLERANCE_PTS` of steady state;
+    /// and the weighted-fair row's tenant spread may not exceed FIFO's.
+    pub(super) fn autoscale(rows: &[Json]) -> Vec<String> {
+        let static_hours = rows
+            .iter()
+            .find(|r| text(r, "label") == "static-max")
+            .map(|r| num(r, "replica_hours"));
+        let mut errors = Vec::new();
+        let (mut fair_spread, mut fifo_spread) = (None, None);
+        for row in rows.iter().filter(|r| text(r, "label") != "static-max") {
+            let label = text(row, "label");
+            if num(row, "joins") < 1.0 || num(row, "peak_replicas") < 2.0 {
+                errors.push(format!(
+                    "{label}: the controller never scaled (no join or peak stuck at the \
+                     floor) — the closed loop is dead"
+                ));
+            }
+            let hours = num(row, "replica_hours");
+            if let Some(static_hours) = static_hours {
+                if hours > static_hours * REPLICA_HOURS_CEILING_FACTOR {
+                    errors.push(format!(
+                        "{label}: replica-hours {hours:.4} exceed static-max {static_hours:.4} × \
+                         {REPLICA_HOURS_CEILING_FACTOR} — autoscaling stopped saving capacity"
+                    ));
                 }
-                match row.get("tiers").and_then(Json::as_arr) {
-                    None => errors.push(format!("rows[{i}]: missing tiers array")),
-                    Some(tiers) => {
-                        for (j, tier) in tiers.iter().enumerate() {
-                            if tier
-                                .get("tier")
-                                .and_then(Json::as_str)
-                                .is_none_or(str::is_empty)
-                            {
-                                errors.push(format!("rows[{i}].tiers[{j}]: missing tier label"));
-                            }
-                            for key in ["requests", "attainment_pct", "mean_tpot_ms", "p99_tpot_ms"]
-                            {
-                                need_num(
-                                    &mut errors,
-                                    tier.get(key),
-                                    &format!("rows[{i}].tiers[{j}].{key}"),
-                                );
-                            }
+            }
+            let steady = num(row, "steady_attainment_pct");
+            let burst = num(row, "burst_attainment_pct");
+            if burst < steady - BURST_DROP_TOLERANCE_PTS {
+                errors.push(format!(
+                    "{label}: burst attainment {burst:.1}% collapsed more than \
+                     {BURST_DROP_TOLERANCE_PTS} pts under steady state {steady:.1}% — the \
+                     controller is not riding the flash crowd"
+                ));
+            }
+            let spread = Some(num(row, "tenant_spread_pct"));
+            match text(row, "policy") {
+                "fair" => fair_spread = spread,
+                "fifo" => fifo_spread = spread,
+                _ => {}
+            }
+        }
+        if let (Some(fair), Some(fifo)) = (fair_spread, fifo_spread) {
+            if fair > fifo {
+                errors.push(format!(
+                    "weighted-fair tenant spread {fair:.1} pts exceeds FIFO's {fifo:.1} — the \
+                     front door stopped protecting the weighted tenant"
+                ));
+            }
+        }
+        errors
+    }
+
+    /// Every row must conserve requests (offered = finished + rejected),
+    /// the no-fault row must be untouched by the chaos machinery (0
+    /// faults, retries and rejections), and under the same seeded fault
+    /// schedule the with-recovery row's offered-basis attainment must be
+    /// strictly above the no-recovery row's — recovery has to earn its
+    /// keep.
+    pub(super) fn chaos(rows: &[Json]) -> Vec<String> {
+        let mut errors = Vec::new();
+        let (mut no_recovery, mut with_recovery) = (None, None);
+        for row in rows {
+            let label = text(row, "label");
+            let offered = num(row, "offered");
+            let (finished, rejected) = (num(row, "finished"), num(row, "rejected"));
+            if offered != finished + rejected {
+                errors.push(format!(
+                    "{label}: offered {offered} != finished {finished} + rejected {rejected} — \
+                     the session lost or duplicated a request"
+                ));
+            }
+            let attainment = Some(num(row, "offered_attainment_pct"));
+            match text(row, "recovery") {
+                "none" => no_recovery = attainment,
+                "retry" => with_recovery = attainment,
+                "n/a" => {
+                    for key in ["faults", "retries", "rejected"] {
+                        if num(row, key) != 0.0 {
+                            errors.push(format!(
+                                "{label}: fault-free row reports nonzero {key} — the chaos \
+                                 machinery leaked into a clean run"
+                            ));
                         }
                     }
                 }
+                _ => {}
             }
         }
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
+        if let (Some(without), Some(with)) = (no_recovery, with_recovery) {
+            if with <= without {
+                errors.push(format!(
+                    "with-recovery offered attainment {with:.1}% does not beat no-recovery \
+                     {without:.1}% under the same fault schedule — retry/backoff stopped \
+                     paying for itself"
+                ));
+            }
+        }
+        errors
     }
 }
 
@@ -1609,6 +1101,7 @@ mod tests {
     use super::*;
     use crate::json;
     use metrics::RequestRecord;
+    use std::collections::BTreeMap;
     use workload::Category;
 
     fn report() -> SloReport {
@@ -1634,17 +1127,60 @@ mod tests {
         SloReport::from_records(&records)
     }
 
+    /// Parses what `artifact` emits.
+    fn parsed<R: Row>(artifact: &Artifact<R>) -> Json {
+        json::parse(&artifact.to_json_string()).expect("emitted JSON parses")
+    }
+
+    fn top(doc: &mut Json) -> &mut BTreeMap<String, Json> {
+        let Json::Obj(top) = doc else {
+            panic!("document is not an object")
+        };
+        top
+    }
+
+    fn rows(doc: &Json) -> &[Json] {
+        doc.get("rows").and_then(Json::as_arr).expect("rows array")
+    }
+
+    /// Row `i` of `doc`, as a mutable object.
+    fn row_mut(doc: &mut Json, i: usize) -> &mut BTreeMap<String, Json> {
+        let Some(Json::Arr(rows)) = top(doc).get_mut("rows") else {
+            panic!("no rows array")
+        };
+        let Json::Obj(row) = &mut rows[i] else {
+            panic!("row is not an object")
+        };
+        row
+    }
+
+    fn errors_of(doc: &Json) -> Vec<String> {
+        validate(doc).expect_err("document must fail validation")
+    }
+
+    /// Asserts `artifact` emits exactly `expected` plus a newline.
+    fn assert_bytes<R: Row>(artifact: &Artifact<R>, expected: &str) {
+        assert_eq!(artifact.to_json_string(), format!("{expected}\n"));
+    }
+
+    fn slo_summary() -> Artifact<BenchRow> {
+        let mut summary = Artifact::new("unit_test", true, 7, Some(1234.5));
+        summary
+            .rows
+            .push(BenchRow::from_report("point-a", &report()));
+        summary
+            .rows
+            .push(BenchRow::from_report("point-b", &report()));
+        summary
+    }
+
     #[test]
     fn summary_round_trips_and_validates() {
-        let mut summary = BenchSummary::new("unit_test", "smoke", 7, 1234.5);
-        summary.push_report("point-a", &report());
-        summary.push_report("point-b", &report());
-        let text = summary.to_json_string();
-        let doc = json::parse(&text).expect("emitted JSON parses");
+        let doc = parsed(&slo_summary());
         validate(&doc).expect("emitted JSON is schema-valid");
-        assert_eq!(doc.get("rows").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(rows(&doc).len(), 2);
         assert_eq!(doc.get("mode").unwrap().as_str(), Some("smoke"));
-        let row = &doc.get("rows").unwrap().as_arr().unwrap()[0];
+        let row = &rows(&doc)[0];
         assert_eq!(row.get("requests").unwrap().as_num(), Some(6.0));
         assert_eq!(
             row.get("tiers").unwrap().as_arr().unwrap().len(),
@@ -1655,23 +1191,27 @@ mod tests {
 
     #[test]
     fn validation_rejects_missing_keys() {
-        let mut summary = BenchSummary::new("unit_test", "full", 7, 1.0);
-        summary.push_report("point", &report());
-        let doc = json::parse(&summary.to_json_string()).unwrap();
-        // Knock out a required member and re-validate.
-        let Json::Obj(mut top) = doc else { panic!() };
-        top.remove("seed");
-        let Some(Json::Arr(rows)) = top.get_mut("rows") else {
-            panic!()
-        };
-        let Json::Obj(row) = &mut rows[0] else {
-            panic!()
-        };
+        let mut doc = parsed(&slo_summary());
+        top(&mut doc).remove("seed");
+        let row = row_mut(&mut doc, 0);
         row.remove("goodput_tps");
-        let errors = validate(&Json::Obj(top)).unwrap_err();
+        let Some(Json::Arr(tiers)) = row.get_mut("tiers") else {
+            panic!("no tiers array")
+        };
+        let Json::Obj(tier) = &mut tiers[1] else {
+            panic!("tier is not an object")
+        };
+        tier.remove("mean_tpot_ms");
+        let errors = errors_of(&doc);
         assert!(errors.iter().any(|e| e.contains("seed")), "{errors:?}");
         assert!(
             errors.iter().any(|e| e.contains("rows[0].goodput_tps")),
+            "{errors:?}"
+        );
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.contains("rows[0].tiers[1].mean_tpot_ms")),
             "{errors:?}"
         );
     }
@@ -1679,19 +1219,11 @@ mod tests {
     #[test]
     fn validation_rejects_missing_ttft_keys() {
         // A schema-1-era summary: right version number, no TTFT keys.
-        let mut summary = BenchSummary::new("disagg_unit", "smoke", 7, 1.0);
-        summary.push_report("split=1p3d rps=8 bw=300", &report());
-        let doc = json::parse(&summary.to_json_string()).unwrap();
-        let Json::Obj(mut top) = doc else { panic!() };
-        let Some(Json::Arr(rows)) = top.get_mut("rows") else {
-            panic!()
-        };
-        let Json::Obj(row) = &mut rows[0] else {
-            panic!()
-        };
+        let mut doc = parsed(&slo_summary());
+        let row = row_mut(&mut doc, 0);
         row.remove("ttft_attainment_pct");
         row.remove("p99_ttft_ms");
-        let errors = validate(&Json::Obj(top)).unwrap_err();
+        let errors = errors_of(&doc);
         assert!(
             errors
                 .iter()
@@ -1710,12 +1242,9 @@ mod tests {
 
     #[test]
     fn validation_rejects_stale_schema_version() {
-        let mut summary = BenchSummary::new("disagg_unit", "smoke", 7, 1.0);
-        summary.push_report("point", &report());
-        let doc = json::parse(&summary.to_json_string()).unwrap();
-        let Json::Obj(mut top) = doc else { panic!() };
-        top.insert("schema_version".into(), Json::Num(1.0));
-        let errors = validate(&Json::Obj(top)).unwrap_err();
+        let mut doc = parsed(&slo_summary());
+        top(&mut doc).insert("schema_version".into(), Json::Num(1.0));
+        let errors = errors_of(&doc);
         assert!(
             errors
                 .iter()
@@ -1726,20 +1255,62 @@ mod tests {
 
     #[test]
     fn validation_rejects_empty_rows() {
-        let summary = BenchSummary::new("unit_test", "smoke", 7, 1.0);
-        let doc = json::parse(&summary.to_json_string()).unwrap();
-        let errors = validate(&doc).unwrap_err();
+        let summary = Artifact::<BenchRow>::new("unit_test", true, 7, Some(1.0));
+        let errors = errors_of(&parsed(&summary));
         assert!(errors.iter().any(|e| e.contains("rows is empty")));
     }
 
     #[test]
-    #[should_panic(expected = "mode must be smoke|full")]
-    fn bad_mode_panics_at_construction() {
-        let _ = BenchSummary::new("x", "warp", 1, 1.0);
+    fn bad_mode_fails_validation() {
+        let full = Artifact::<BenchRow>::new("x", false, 1, Some(1.0));
+        assert_eq!(full.mode(), "full");
+        let mut doc = parsed(&slo_summary());
+        top(&mut doc).insert("mode".into(), Json::Str("warp".into()));
+        let errors = errors_of(&doc);
+        assert!(
+            errors
+                .iter()
+                .any(|e| e == r#"mode must be "smoke" or "full", got Some("warp")"#),
+            "{errors:?}"
+        );
     }
 
-    fn perf_summary() -> PerfSummary {
-        let mut summary = PerfSummary::new("perf_report", "smoke", 7, 10_000.0);
+    #[test]
+    fn unknown_kind_is_rejected_by_name() {
+        let mut doc = parsed(&perf_summary());
+        top(&mut doc).insert("kind".into(), Json::Str("profile".into()));
+        assert_eq!(errors_of(&doc), [r#"unknown kind "profile""#]);
+    }
+
+    #[test]
+    fn committed_artifacts_pass_schema_and_gates() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut found = Vec::new();
+        for entry in std::fs::read_dir(&root).expect("read repository root") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("read artifact");
+            let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            validate(&doc).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            found.push(name.to_string());
+        }
+        for committed in [
+            "BENCH_attribution.json",
+            "BENCH_autoscale.json",
+            "BENCH_chaos.json",
+            "BENCH_fleet_scaling.json",
+            "BENCH_perf.json",
+            "BENCH_prefix.json",
+        ] {
+            assert!(found.iter().any(|f| f == committed), "{committed} missing");
+        }
+    }
+
+    fn perf_summary() -> Artifact<PerfRow> {
+        let mut summary = Artifact::new("perf_report", true, 7, Some(10_000.0));
         summary.rows.push(PerfRow {
             label: "colocated rps=2".into(),
             wall_ms: 65.0,
@@ -1758,27 +1329,20 @@ mod tests {
 
     #[test]
     fn perf_summary_round_trips_and_validates() {
-        let text = perf_summary().to_json_string();
-        let doc = json::parse(&text).expect("emitted JSON parses");
+        let doc = parsed(&perf_summary());
         validate(&doc).expect("perf JSON is schema-valid");
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("perf"));
-        let row = &doc.get("rows").unwrap().as_arr().unwrap()[0];
+        let row = &rows(&doc)[0];
         assert_eq!(row.get("iterations").unwrap().as_num(), Some(296.0));
     }
 
     #[test]
     fn perf_validation_rejects_missing_keys() {
-        let doc = json::parse(&perf_summary().to_json_string()).unwrap();
-        let Json::Obj(mut top) = doc else { panic!() };
-        let Some(Json::Arr(rows)) = top.get_mut("rows") else {
-            panic!()
-        };
-        let Json::Obj(row) = &mut rows[0] else {
-            panic!()
-        };
+        let mut doc = parsed(&perf_summary());
+        let row = row_mut(&mut doc, 0);
         row.remove("sim_tokens_per_sec");
         row.remove("dist_cache_hit_rate_pct");
-        let errors = validate(&Json::Obj(top)).unwrap_err();
+        let errors = errors_of(&doc);
         assert!(
             errors
                 .iter()
@@ -1793,8 +1357,8 @@ mod tests {
         );
     }
 
-    fn fleet_summary() -> FleetSummary {
-        let mut summary = FleetSummary::new("fig_fleet_scaling", "smoke", 7);
+    fn fleet_summary() -> Artifact<FleetRow> {
+        let mut summary = Artifact::new("fig_fleet_scaling", true, 7, None);
         for (mode, workers, wall, speedup) in [
             ("sequential", 1usize, 290.0, 1.0),
             ("sharded", 4, 261.0, 1.11),
@@ -1816,11 +1380,10 @@ mod tests {
 
     #[test]
     fn fleet_summary_round_trips_and_validates() {
-        let text = fleet_summary().to_json_string();
-        let doc = json::parse(&text).expect("emitted JSON parses");
+        let doc = parsed(&fleet_summary());
         validate(&doc).expect("fleet JSON is schema-valid");
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("fleet"));
-        let rows = doc.get("rows").unwrap().as_arr().unwrap();
+        let rows = rows(&doc);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].get("exec").unwrap().as_str(), Some("sharded"));
         assert_eq!(rows[1].get("speedup").unwrap().as_num(), Some(1.11));
@@ -1828,17 +1391,11 @@ mod tests {
 
     #[test]
     fn fleet_validation_rejects_missing_keys() {
-        let doc = json::parse(&fleet_summary().to_json_string()).unwrap();
-        let Json::Obj(mut top) = doc else { panic!() };
-        let Some(Json::Arr(rows)) = top.get_mut("rows") else {
-            panic!()
-        };
-        let Json::Obj(row) = &mut rows[0] else {
-            panic!()
-        };
+        let mut doc = parsed(&fleet_summary());
+        let row = row_mut(&mut doc, 0);
         row.remove("speedup");
         row.remove("exec");
-        let errors = validate(&Json::Obj(top)).unwrap_err();
+        let errors = errors_of(&doc);
         assert!(
             errors.iter().any(|e| e.contains("rows[0].speedup")),
             "{errors:?}"
@@ -1851,8 +1408,8 @@ mod tests {
         );
     }
 
-    fn prefix_summary() -> PrefixSummary {
-        let mut summary = PrefixSummary::new("fig_prefix_cache", "smoke", 7, 10_000.0);
+    fn prefix_summary() -> Artifact<PrefixRow> {
+        let mut summary = Artifact::new("fig_prefix_cache", true, 7, Some(10_000.0));
         for (cache, hit, saved, p50) in [("off", 0.0, 0u64, 210.0), ("on", 72.5, 40_960, 140.0)] {
             summary.rows.push(PrefixRow {
                 label: "share=90% rps=3.0".into(),
@@ -1874,11 +1431,10 @@ mod tests {
 
     #[test]
     fn prefix_summary_round_trips_and_validates() {
-        let text = prefix_summary().to_json_string();
-        let doc = json::parse(&text).expect("emitted JSON parses");
+        let doc = parsed(&prefix_summary());
         validate(&doc).expect("prefix JSON is schema-valid");
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("prefix"));
-        let rows = doc.get("rows").unwrap().as_arr().unwrap();
+        let rows = rows(&doc);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].get("cache").unwrap().as_str(), Some("on"));
         assert_eq!(
@@ -1893,17 +1449,11 @@ mod tests {
 
     #[test]
     fn prefix_validation_rejects_missing_and_bad_keys() {
-        let doc = json::parse(&prefix_summary().to_json_string()).unwrap();
-        let Json::Obj(mut top) = doc else { panic!() };
-        let Some(Json::Arr(rows)) = top.get_mut("rows") else {
-            panic!()
-        };
-        let Json::Obj(row) = &mut rows[0] else {
-            panic!()
-        };
+        let mut doc = parsed(&prefix_summary());
+        let row = row_mut(&mut doc, 0);
         row.remove("p50_ttft_ms");
         row.insert("cache".into(), Json::Str("maybe".into()));
-        let errors = validate(&Json::Obj(top)).unwrap_err();
+        let errors = errors_of(&doc);
         assert!(
             errors.iter().any(|e| e.contains("rows[0].p50_ttft_ms")),
             "{errors:?}"
@@ -1916,8 +1466,8 @@ mod tests {
         );
     }
 
-    fn attribution_summary() -> AttributionSummary {
-        let mut summary = AttributionSummary::new("fig_slo_attribution", "smoke", 7, 10_000.0);
+    fn attribution_summary() -> Artifact<AttributionRow> {
+        let mut summary = Artifact::new("fig_slo_attribution", true, 7, Some(10_000.0));
         for (tier, violations, queueing, prefill) in
             [("chatbot", 0usize, 12.0, 55.0), ("coding", 3, 61.0, 14.0)]
         {
@@ -1946,11 +1496,10 @@ mod tests {
 
     #[test]
     fn attribution_summary_round_trips_and_validates() {
-        let text = attribution_summary().to_json_string();
-        let doc = json::parse(&text).expect("emitted JSON parses");
+        let doc = parsed(&attribution_summary());
         validate(&doc).expect("attribution JSON is schema-valid");
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("attribution"));
-        let rows = doc.get("rows").unwrap().as_arr().unwrap();
+        let rows = rows(&doc);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].get("dominant").unwrap().as_str(), Some("queueing"));
         assert_eq!(
@@ -1971,18 +1520,12 @@ mod tests {
 
     #[test]
     fn attribution_validation_rejects_missing_and_bad_keys() {
-        let doc = json::parse(&attribution_summary().to_json_string()).unwrap();
-        let Json::Obj(mut top) = doc else { panic!() };
-        let Some(Json::Arr(rows)) = top.get_mut("rows") else {
-            panic!()
-        };
-        let Json::Obj(row) = &mut rows[0] else {
-            panic!()
-        };
+        let mut doc = parsed(&attribution_summary());
+        let row = row_mut(&mut doc, 0);
         row.remove("queueing_pct");
         row.remove("dominant");
         row.insert("fallback_all_requests".into(), Json::Str("yes".into()));
-        let errors = validate(&Json::Obj(top)).unwrap_err();
+        let errors = errors_of(&doc);
         assert!(
             errors.iter().any(|e| e.contains("rows[0].queueing_pct")),
             "{errors:?}"
@@ -2001,8 +1544,8 @@ mod tests {
         );
     }
 
-    fn autoscale_summary() -> AutoscaleSummary {
-        let mut summary = AutoscaleSummary::new("fig_autoscale", "smoke", 7, 30_000.0);
+    fn autoscale_summary() -> Artifact<AutoscaleRow> {
+        let mut summary = Artifact::new("fig_autoscale", true, 7, Some(30_000.0));
         for (label, policy, hours, peak, joins, drains, spread) in [
             ("static-max", "fifo", 0.033, 4usize, 0usize, 0usize, 11.0),
             ("autoscale-fifo", "fifo", 0.014, 3, 2, 4, 14.0),
@@ -2031,11 +1574,10 @@ mod tests {
 
     #[test]
     fn autoscale_summary_round_trips_and_validates() {
-        let text = autoscale_summary().to_json_string();
-        let doc = json::parse(&text).expect("emitted JSON parses");
+        let doc = parsed(&autoscale_summary());
         validate(&doc).expect("autoscale JSON is schema-valid");
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("autoscale"));
-        let rows = doc.get("rows").unwrap().as_arr().unwrap();
+        let rows = rows(&doc);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[2].get("policy").unwrap().as_str(), Some("fair"));
         assert_eq!(rows[1].get("joins").unwrap().as_num(), Some(2.0));
@@ -2044,18 +1586,12 @@ mod tests {
 
     #[test]
     fn autoscale_validation_rejects_missing_and_bad_keys() {
-        let doc = json::parse(&autoscale_summary().to_json_string()).unwrap();
-        let Json::Obj(mut top) = doc else { panic!() };
-        let Some(Json::Arr(rows)) = top.get_mut("rows") else {
-            panic!()
-        };
-        let Json::Obj(row) = &mut rows[0] else {
-            panic!()
-        };
+        let mut doc = parsed(&autoscale_summary());
+        let row = row_mut(&mut doc, 0);
         row.remove("replica_hours");
         row.remove("burst_attainment_pct");
         row.insert("policy".into(), Json::Str("lifo".into()));
-        let errors = validate(&Json::Obj(top)).unwrap_err();
+        let errors = errors_of(&doc);
         assert!(
             errors.iter().any(|e| e.contains("rows[0].replica_hours")),
             "{errors:?}"
@@ -2074,8 +1610,8 @@ mod tests {
         );
     }
 
-    fn chaos_summary() -> ChaosSummary {
-        let mut summary = ChaosSummary::new("fig_chaos", "smoke", 7, 20_000.0);
+    fn chaos_summary() -> Artifact<ChaosRow> {
+        let mut summary = Artifact::new("fig_chaos", true, 7, Some(20_000.0));
         for (label, recovery, faults, finished, rejected, retries, offered_att) in [
             ("no-fault", "n/a", 0usize, 90usize, 0usize, 0u64, 95.0),
             ("fault-no-recovery", "none", 2, 82, 8, 0, 74.0),
@@ -2099,11 +1635,10 @@ mod tests {
 
     #[test]
     fn chaos_summary_round_trips_and_validates() {
-        let text = chaos_summary().to_json_string();
-        let doc = json::parse(&text).expect("emitted JSON parses");
+        let doc = parsed(&chaos_summary());
         validate(&doc).expect("chaos JSON is schema-valid");
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("chaos"));
-        let rows = doc.get("rows").unwrap().as_arr().unwrap();
+        let rows = rows(&doc);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[2].get("recovery").unwrap().as_str(), Some("retry"));
         assert_eq!(rows[1].get("rejected").unwrap().as_num(), Some(8.0));
@@ -2115,18 +1650,12 @@ mod tests {
 
     #[test]
     fn chaos_validation_rejects_missing_and_bad_keys() {
-        let doc = json::parse(&chaos_summary().to_json_string()).unwrap();
-        let Json::Obj(mut top) = doc else { panic!() };
-        let Some(Json::Arr(rows)) = top.get_mut("rows") else {
-            panic!()
-        };
-        let Json::Obj(row) = &mut rows[0] else {
-            panic!()
-        };
+        let mut doc = parsed(&chaos_summary());
+        let row = row_mut(&mut doc, 0);
         row.remove("offered");
         row.remove("offered_attainment_pct");
         row.insert("recovery".into(), Json::Str("prayer".into()));
-        let errors = validate(&Json::Obj(top)).unwrap_err();
+        let errors = errors_of(&doc);
         assert!(
             errors.iter().any(|e| e.contains("rows[0].offered")),
             "{errors:?}"
@@ -2146,9 +1675,64 @@ mod tests {
     #[test]
     fn kind_dispatch_keeps_slo_artifacts_on_the_slo_schema() {
         // An SLO artifact (no "kind") must not be validated as perf.
-        let mut summary = BenchSummary::new("fig_cluster_scaling", "smoke", 7, 1.0);
-        summary.push_report("point", &report());
-        let doc = json::parse(&summary.to_json_string()).unwrap();
-        validate(&doc).expect("slo artifact validates via dispatch");
+        let mut summary = Artifact::new("fig_cluster_scaling", true, 7, Some(1.0));
+        summary.rows.push(BenchRow::from_report("point", &report()));
+        validate(&parsed(&summary)).expect("slo artifact validates via dispatch");
+    }
+
+    #[test]
+    fn slo_summary_emits_pinned_bytes() {
+        assert_bytes(
+            &slo_summary(),
+            r#"{"duration_ms":1234.5,"mode":"smoke","name":"unit_test","rows":[{"goodput_tps":148.148148,"label":"point-a","p50_tpot_ms":40,"p50_ttft_ms":5,"p99_tpot_ms":40,"p99_ttft_ms":5,"requests":6,"slo_attainment_pct":100,"throughput_tps":148.148148,"tiers":[{"attainment_pct":100,"mean_tpot_ms":40,"p99_tpot_ms":40,"requests":3,"tier":"chat"},{"attainment_pct":100,"mean_tpot_ms":40,"p99_tpot_ms":40,"requests":3,"tier":"summarization"}],"ttft_attainment_pct":100},{"goodput_tps":148.148148,"label":"point-b","p50_tpot_ms":40,"p50_ttft_ms":5,"p99_tpot_ms":40,"p99_ttft_ms":5,"requests":6,"slo_attainment_pct":100,"throughput_tps":148.148148,"tiers":[{"attainment_pct":100,"mean_tpot_ms":40,"p99_tpot_ms":40,"requests":3,"tier":"chat"},{"attainment_pct":100,"mean_tpot_ms":40,"p99_tpot_ms":40,"requests":3,"tier":"summarization"}],"ttft_attainment_pct":100}],"schema_version":2,"seed":7}"#,
+        );
+    }
+
+    #[test]
+    fn perf_summary_emits_pinned_bytes() {
+        assert_bytes(
+            &perf_summary(),
+            r#"{"duration_ms":10000,"kind":"perf","mode":"smoke","name":"perf_report","rows":[{"dist_cache_hit_rate_pct":9.5,"iterations":296,"iterations_per_sec":4553,"label":"colocated rps=2","peak_decode_batch":7,"scheduling_share_pct":0.02,"sim_ms":10250,"sim_tokens":4200,"sim_tokens_per_sec":64615,"trace_dropped":0,"wall_ms":65}],"schema_version":2,"seed":7}"#,
+        );
+    }
+
+    #[test]
+    fn fleet_summary_emits_pinned_bytes() {
+        assert_bytes(
+            &fleet_summary(),
+            r#"{"kind":"fleet","mode":"smoke","name":"fig_fleet_scaling","rows":[{"exec":"sequential","iterations":3000,"iterations_per_sec":10344.827586,"replicas":4,"requests":80,"sim_ms":10000,"speedup":1,"wall_ms":290,"workers":1},{"exec":"sharded","iterations":3000,"iterations_per_sec":11494.252874,"replicas":4,"requests":80,"sim_ms":10000,"speedup":1.11,"wall_ms":261,"workers":4}],"schema_version":2,"seed":7}"#,
+        );
+    }
+
+    #[test]
+    fn prefix_summary_emits_pinned_bytes() {
+        assert_bytes(
+            &prefix_summary(),
+            r#"{"duration_ms":10000,"kind":"prefix","mode":"smoke","name":"fig_prefix_cache","rows":[{"cache":"off","label":"share=90% rps=3.0","mean_ttft_ms":230,"p50_ttft_ms":210,"p99_ttft_ms":630,"prefill_tokens_saved":0,"prefix_hit_rate_pct":0,"prefix_share_pct":90,"requests":30,"rps":3,"slo_attainment_pct":100,"ttft_attainment_pct":100},{"cache":"on","label":"share=90% rps=3.0","mean_ttft_ms":160,"p50_ttft_ms":140,"p99_ttft_ms":420,"prefill_tokens_saved":40960,"prefix_hit_rate_pct":72.5,"prefix_share_pct":90,"requests":30,"rps":3,"slo_attainment_pct":100,"ttft_attainment_pct":100}],"schema_version":2,"seed":7}"#,
+        );
+    }
+
+    #[test]
+    fn attribution_summary_emits_pinned_bytes() {
+        assert_bytes(
+            &attribution_summary(),
+            r#"{"duration_ms":10000,"kind":"attribution","mode":"smoke","name":"fig_slo_attribution","rows":[{"decode_pct":33,"dominant":"prefill","fallback_all_requests":true,"label":"rps=3.0","preemption_pct":0,"prefill_pct":55,"queueing_pct":12,"requests":30,"rps":3,"tier":"chatbot","transfer_pct":0,"violations":0},{"decode_pct":25,"dominant":"queueing","fallback_all_requests":false,"label":"rps=3.0","preemption_pct":0,"prefill_pct":14,"queueing_pct":61,"requests":30,"rps":3,"tier":"coding","transfer_pct":0,"violations":3}],"schema_version":2,"seed":7}"#,
+        );
+    }
+
+    #[test]
+    fn autoscale_summary_emits_pinned_bytes() {
+        assert_bytes(
+            &autoscale_summary(),
+            r#"{"duration_ms":30000,"kind":"autoscale","mode":"smoke","name":"fig_autoscale","rows":[{"burst_attainment_pct":89,"drains":0,"joins":0,"label":"static-max","peak_replicas":4,"policy":"fifo","rejected":0,"replica_hours":0.033,"replicas_max":4,"requests":120,"slo_attainment_pct":96,"steady_attainment_pct":98,"tenant_spread_pct":11,"ttft_attainment_pct":94,"worst_tenant_pct":89},{"burst_attainment_pct":89,"drains":4,"joins":2,"label":"autoscale-fifo","peak_replicas":3,"policy":"fifo","rejected":0,"replica_hours":0.014,"replicas_max":4,"requests":120,"slo_attainment_pct":96,"steady_attainment_pct":98,"tenant_spread_pct":14,"ttft_attainment_pct":94,"worst_tenant_pct":86},{"burst_attainment_pct":89,"drains":4,"joins":2,"label":"autoscale-fair","peak_replicas":3,"policy":"fair","rejected":0,"replica_hours":0.015,"replicas_max":4,"requests":120,"slo_attainment_pct":96,"steady_attainment_pct":98,"tenant_spread_pct":6,"ttft_attainment_pct":94,"worst_tenant_pct":94}],"schema_version":2,"seed":7}"#,
+        );
+    }
+
+    #[test]
+    fn chaos_summary_emits_pinned_bytes() {
+        assert_bytes(
+            &chaos_summary(),
+            r#"{"duration_ms":20000,"kind":"chaos","mode":"smoke","name":"fig_chaos","rows":[{"faults":0,"finished":90,"label":"no-fault","mean_ttft_ms":310,"offered":90,"offered_attainment_pct":95,"recovery":"n/a","rejected":0,"retries":0,"slo_attainment_pct":95},{"faults":2,"finished":82,"label":"fault-no-recovery","mean_ttft_ms":310,"offered":90,"offered_attainment_pct":74,"recovery":"none","rejected":8,"retries":0,"slo_attainment_pct":95},{"faults":2,"finished":90,"label":"fault-with-recovery","mean_ttft_ms":310,"offered":90,"offered_attainment_pct":88,"recovery":"retry","rejected":0,"retries":9,"slo_attainment_pct":95}],"schema_version":2,"seed":7}"#,
+        );
     }
 }
