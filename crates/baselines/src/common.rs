@@ -1,84 +1,62 @@
-//! Iteration helpers shared by the baseline engines.
+//! The plain-decode iteration the non-speculating baselines share.
 
 use roofline::{ForwardPass, SeqWork};
-use serving::{EngineCore, Phase, StepResult};
+use serving::{EngineCore, Iteration, StepResult};
 
-/// Runs one whole-prompt prefill pass over every request in the prefill
-/// phase (vLLM's prefill-prioritized iteration). Returns `None` if nothing
-/// needs prefill.
-pub fn full_prefill_pass(core: &mut EngineCore, now_ms: f64) -> Option<StepResult> {
-    let plan = core.plan_prefill(u32::MAX);
-    if plan.is_empty() {
-        return None;
+/// One continuous-batching decode iteration over the requests `iter` has
+/// selected: each gets one token of KV headroom (growth may preempt
+/// others, see [`Iteration::reserve`]) and one target token. Prompt chunks
+/// fill what `token_budget` leaves after the decode tokens (Sarathi-Serve's
+/// chunked prefill); a budget of 0 decodes only (vLLM's iteration). An
+/// iteration with nothing to run is an idle tick.
+pub fn decode_iteration(
+    core: &mut EngineCore,
+    iter: &mut Iteration,
+    token_budget: u32,
+    now_ms: f64,
+) -> StepResult {
+    let decode_tokens = iter.reserve(core, 1) as u32;
+    let plan = core.plan_prefill(token_budget.saturating_sub(decode_tokens));
+    if decode_tokens == 0 && plan.is_empty() {
+        return StepResult::IDLE;
     }
-    let mut pass = ForwardPass::default();
+    let decoding = iter.decoding();
+    let mut pass = ForwardPass::new(
+        decoding
+            .iter()
+            .map(|&i| SeqWork::decode(core.running[i].context_len()))
+            .collect(),
+    );
     for &(i, chunk) in &plan {
         pass.push(SeqWork::prefill(chunk, core.running[i].prefilled()));
     }
-    let ms = core.config.testbed.target.forward_latency_ms(&pass, false);
-    core.apply_prefill(&plan);
-    core.breakdown.prefill_ms += ms;
-    core.stamp_decode_starts(now_ms + ms);
-    Some(StepResult { latency_ms: ms })
-}
-
-/// Runs one plain continuous-batching decode iteration over the requests
-/// with the given ids (1 token each). Requests that get preempted while
-/// making KV room are skipped. Returns the iteration latency (0.0 if no
-/// request survived).
-pub fn decode_iteration(core: &mut EngineCore, ids: &[u64], now_ms: f64) -> f64 {
-    // Grow KV per request; growth may preempt others in `ids`.
-    let mut surviving: Vec<u64> = Vec::with_capacity(ids.len());
-    for &id in ids {
-        let Some(idx) = core.running.iter().position(|r| r.spec.id == id) else {
-            continue; // Preempted by an earlier growth in this loop.
-        };
-        if core.running[idx].phase != Phase::Decoding {
-            continue;
-        }
-        if core.grow_with_preemption(idx, 1) {
-            surviving.push(id);
-        } else {
-            core.preempt(idx);
-        }
-    }
-    surviving.retain(|&id| core.running.iter().any(|r| r.spec.id == id));
-    if surviving.is_empty() {
-        return 0.0;
-    }
-    let mut pass = ForwardPass::default();
-    for &id in &surviving {
-        let idx = core
-            .running
-            .iter()
-            .position(|r| r.spec.id == id)
-            .expect("survives");
-        pass.push(SeqWork::decode(core.running[idx].context_len()));
-    }
-    let ms = core.config.testbed.target.forward_latency_ms(&pass, true);
-    for &id in &surviving {
-        let idx = core
-            .running
-            .iter()
-            .position(|r| r.spec.id == id)
-            .expect("survives");
-        let token = core.next_token(idx);
-        let r = &mut core.running[idx];
+    // Mixed chunked batches preclude CUDA-graph capture; decode-only
+    // iterations replay captured graphs.
+    let ms = core
+        .config
+        .testbed
+        .target
+        .forward_latency_ms(&pass, plan.is_empty());
+    for &i in decoding {
+        let token = core.next_token(i);
+        let r = &mut core.running[i];
         r.push_token(token);
         r.verify_steps += 1;
     }
-    core.breakdown.verification_ms += ms;
+    core.apply_prefill(&plan);
+    if plan.is_empty() {
+        core.breakdown.verification_ms += ms;
+    } else {
+        // Split a co-batched iteration between prefill and decode by
+        // token share, for the breakdown figure.
+        let prefill_tokens = plan.iter().map(|&(_, c)| f64::from(c)).sum::<f64>();
+        let pre_share = prefill_tokens / (f64::from(decode_tokens) + prefill_tokens);
+        core.breakdown.prefill_ms += ms * pre_share;
+        core.breakdown.verification_ms += ms * (1.0 - pre_share);
+    }
+    core.stamp_decode_starts(now_ms + ms);
     core.collect_finished(now_ms + ms);
-    ms
-}
-
-/// Ids of all running requests currently decoding, in batch order.
-pub fn decoding_ids(core: &EngineCore) -> Vec<u64> {
-    core.running
-        .iter()
-        .filter(|r| r.phase == Phase::Decoding)
-        .map(|r| r.spec.id)
-        .collect()
+    StepResult { latency_ms: ms }
 }
 
 /// Test-only front-door drive of one engine, shared by every baseline's
@@ -123,16 +101,16 @@ mod tests {
     #[test]
     fn prefill_then_decode_completes_requests() {
         let mut core = core_with(2);
-        let pre = full_prefill_pass(&mut core, 0.0).expect("prefill runs");
+        let mut iter = Iteration::default();
+        let pre = core.prefill_pass(u32::MAX, 0.0).expect("prefill runs");
         assert!(pre.latency_ms > 0.0);
-        assert!(full_prefill_pass(&mut core, 1.0).is_none(), "prefill done");
+        assert!(core.prefill_pass(u32::MAX, 1.0).is_none(), "prefill done");
         let mut now = pre.latency_ms;
         for _ in 0..4 {
-            let ids = decoding_ids(&core);
-            assert_eq!(ids.len(), 2);
-            let ms = decode_iteration(&mut core, &ids, now);
-            assert!(ms > 0.0);
-            now += ms;
+            assert_eq!(iter.select_decoding(&core), 2);
+            let step = decode_iteration(&mut core, &mut iter, 0, now);
+            assert!(step.latency_ms > 0.0 && step != StepResult::IDLE);
+            now += step.latency_ms;
         }
         assert_eq!(core.finished_count(), 2);
     }
@@ -140,6 +118,10 @@ mod tests {
     #[test]
     fn decode_iteration_with_no_ids_is_free() {
         let mut core = core_with(1);
-        assert_eq!(decode_iteration(&mut core, &[], 0.0), 0.0);
+        let mut iter = Iteration::default();
+        iter.select(&core, []);
+        let step = decode_iteration(&mut core, &mut iter, 0, 0.0);
+        assert_eq!(step, StepResult::IDLE);
+        assert_eq!(core.breakdown.verification_ms, 0.0, "no model time");
     }
 }

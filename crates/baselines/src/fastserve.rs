@@ -6,7 +6,8 @@
 //! and long ones yield. It has no notion of per-request SLOs — the paper's
 //! Fig. 1 shows it violating tight-SLO categories under mixed load.
 
-use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
+use crate::common;
+use serving::{EngineCore, Iteration, Phase, ServingEngine, StepResult, SystemConfig};
 
 /// Generated-token thresholds demoting a request to the next queue level.
 const LEVEL_THRESHOLDS: [u32; 3] = [16, 64, 192];
@@ -15,6 +16,7 @@ const LEVEL_THRESHOLDS: [u32; 3] = [16, 64, 192];
 #[derive(Debug)]
 pub struct FastServeEngine {
     core: EngineCore,
+    iter: Iteration,
 }
 
 impl FastServeEngine {
@@ -22,6 +24,7 @@ impl FastServeEngine {
     pub fn new(config: SystemConfig) -> Self {
         Self {
             core: EngineCore::new(config),
+            iter: Iteration::default(),
         }
     }
 
@@ -51,32 +54,20 @@ impl ServingEngine for FastServeEngine {
 
     fn step(&mut self, now_ms: f64) -> StepResult {
         self.core.admit_fifo();
-        if let Some(result) = crate::common::full_prefill_pass(&mut self.core, now_ms) {
+        if let Some(result) = self.core.prefill_pass(u32::MAX, now_ms) {
             return result;
         }
         // Serve only the highest-priority (lowest-level) nonempty queue —
         // iteration-granularity preemption of lower levels.
-        let mut best_level = usize::MAX;
-        for r in &self.core.running {
-            if r.phase == Phase::Decoding {
-                best_level = best_level.min(Self::level(r.generated()));
-            }
-        }
-        if best_level == usize::MAX {
-            return StepResult { latency_ms: 1.0 };
-        }
-        let ids: Vec<u64> = self
-            .core
-            .running
-            .iter()
-            .filter(|r| r.phase == Phase::Decoding && Self::level(r.generated()) == best_level)
-            .map(|r| r.spec.id)
-            .collect();
-        let ms = crate::common::decode_iteration(&mut self.core, &ids, now_ms);
-        if ms <= 0.0 {
-            return StepResult { latency_ms: 1.0 };
-        }
-        StepResult { latency_ms: ms }
+        let running = &self.core.running;
+        let level = |i: usize| Self::level(running[i].generated());
+        let decoding = (0..running.len()).filter(|&i| running[i].phase == Phase::Decoding);
+        let best_level = decoding.clone().map(level).min();
+        self.iter.select(
+            &self.core,
+            decoding.filter(|&i| Some(level(i)) == best_level),
+        );
+        common::decode_iteration(&mut self.core, &mut self.iter, 0, now_ms)
     }
 }
 

@@ -7,13 +7,15 @@
 //! approach collapses under load: constraining the batch starves the other
 //! categories and eventually congests everyone (paper §1).
 
+use crate::common;
 use roofline::{ForwardPass, SeqWork};
-use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
+use serving::{EngineCore, Iteration, Phase, ServingEngine, StepResult, SystemConfig};
 
 /// The vLLM + Priority baseline engine.
 #[derive(Debug)]
 pub struct PriorityEngine {
     core: EngineCore,
+    iter: Iteration,
 }
 
 impl PriorityEngine {
@@ -21,6 +23,7 @@ impl PriorityEngine {
     pub fn new(config: SystemConfig) -> Self {
         Self {
             core: EngineCore::new(config),
+            iter: Iteration::default(),
         }
     }
 
@@ -64,7 +67,7 @@ impl ServingEngine for PriorityEngine {
         waiting.extend(sorted);
         self.core.admit_fifo();
 
-        if let Some(result) = crate::common::full_prefill_pass(&mut self.core, now_ms) {
+        if let Some(result) = self.core.prefill_pass(u32::MAX, now_ms) {
             return result;
         }
 
@@ -101,18 +104,8 @@ impl ServingEngine for PriorityEngine {
                 batch = attempt;
             }
         }
-        if batch.is_empty() {
-            return StepResult { latency_ms: 1.0 };
-        }
-        let ids: Vec<u64> = batch
-            .iter()
-            .map(|&i| self.core.running[i].spec.id)
-            .collect();
-        let ms = crate::common::decode_iteration(&mut self.core, &ids, now_ms);
-        if ms <= 0.0 {
-            return StepResult { latency_ms: 1.0 };
-        }
-        StepResult { latency_ms: ms }
+        self.iter.select(&self.core, batch);
+        common::decode_iteration(&mut self.core, &mut self.iter, 0, now_ms)
     }
 }
 

@@ -6,13 +6,14 @@
 //! latency impact of long prompts on running decodes (improving TTFT
 //! fairness) but still serves every request at the same per-token rate.
 
-use roofline::{ForwardPass, SeqWork};
-use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
+use crate::common;
+use serving::{EngineCore, Iteration, ServingEngine, StepResult, SystemConfig};
 
 /// The Sarathi-Serve baseline engine.
 #[derive(Debug)]
 pub struct SarathiEngine {
     core: EngineCore,
+    iter: Iteration,
     /// Per-iteration token budget shared by decode tokens and prefill chunks.
     token_budget: u32,
 }
@@ -28,6 +29,7 @@ impl SarathiEngine {
         assert!(token_budget >= 1);
         Self {
             core: EngineCore::new(config),
+            iter: Iteration::default(),
             token_budget,
         }
     }
@@ -48,92 +50,10 @@ impl ServingEngine for SarathiEngine {
 
     fn step(&mut self, now_ms: f64) -> StepResult {
         self.core.admit_fifo();
-
         // Decode tokens claim the budget first (one per decoding request),
         // prefill chunks fill the remainder.
-        let decode_ids: Vec<u64> = self
-            .core
-            .running
-            .iter()
-            .filter(|r| r.phase == Phase::Decoding)
-            .map(|r| r.spec.id)
-            .collect();
-
-        // Make KV room for each decode token.
-        let mut surviving: Vec<u64> = Vec::with_capacity(decode_ids.len());
-        for &id in &decode_ids {
-            let Some(idx) = self.core.running.iter().position(|r| r.spec.id == id) else {
-                continue;
-            };
-            if self.core.running[idx].phase != Phase::Decoding {
-                continue;
-            }
-            if self.core.grow_with_preemption(idx, 1) {
-                surviving.push(id);
-            } else {
-                self.core.preempt(idx);
-            }
-        }
-        surviving.retain(|&id| self.core.running.iter().any(|r| r.spec.id == id));
-
-        let decode_tokens = surviving.len() as u32;
-        let prefill_budget = self.token_budget.saturating_sub(decode_tokens);
-        let prefill_plan = self.core.plan_prefill(prefill_budget);
-
-        if surviving.is_empty() && prefill_plan.is_empty() {
-            return StepResult { latency_ms: 1.0 };
-        }
-
-        let mut pass = ForwardPass::default();
-        for &id in &surviving {
-            let idx = self
-                .core
-                .running
-                .iter()
-                .position(|r| r.spec.id == id)
-                .expect("alive");
-            pass.push(SeqWork::decode(self.core.running[idx].context_len()));
-        }
-        for &(i, chunk) in &prefill_plan {
-            pass.push(SeqWork::prefill(chunk, self.core.running[i].prefilled()));
-        }
-        // Mixed chunked batches preclude CUDA-graph capture; decode-only
-        // iterations replay captured graphs like any other engine.
-        let ms = self
-            .core
-            .config
-            .testbed
-            .target
-            .forward_latency_ms(&pass, prefill_plan.is_empty());
-
-        for &id in &surviving {
-            let idx = self
-                .core
-                .running
-                .iter()
-                .position(|r| r.spec.id == id)
-                .expect("alive");
-            let token = self.core.next_token(idx);
-            let r = &mut self.core.running[idx];
-            r.push_token(token);
-            r.verify_steps += 1;
-        }
-        let had_prefill = !prefill_plan.is_empty();
-        self.core.apply_prefill(&prefill_plan);
-        if had_prefill {
-            // Attribute co-batched iterations to prefill + decode evenly
-            // enough for the breakdown figure: split by token share.
-            let total = f64::from(decode_tokens)
-                + prefill_plan.iter().map(|&(_, c)| f64::from(c)).sum::<f64>();
-            let pre_share = prefill_plan.iter().map(|&(_, c)| f64::from(c)).sum::<f64>() / total;
-            self.core.breakdown.prefill_ms += ms * pre_share;
-            self.core.breakdown.verification_ms += ms * (1.0 - pre_share);
-        } else {
-            self.core.breakdown.verification_ms += ms;
-        }
-        self.core.stamp_decode_starts(now_ms + ms);
-        self.core.collect_finished(now_ms + ms);
-        StepResult { latency_ms: ms }
+        self.iter.select_decoding(&self.core);
+        common::decode_iteration(&mut self.core, &mut self.iter, self.token_budget, now_ms)
     }
 }
 

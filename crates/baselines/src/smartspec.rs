@@ -9,15 +9,15 @@
 //! It adapts to load — but, like all the speculation baselines, it is
 //! SLO-agnostic: every request gets the same `k`.
 
-use crate::common;
 use roofline::{ForwardPass, SeqWork};
-use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{verify_tree, CandidateTree, SpecParams};
+use serving::{EngineCore, Iteration, Phase, ServingEngine, StepResult, SystemConfig};
+use spectree::SpecParams;
 
 /// The SmartSpec-style baseline engine.
 #[derive(Debug)]
 pub struct SmartSpecEngine {
     core: EngineCore,
+    iter: Iteration,
     /// Longest chain considered.
     max_len: u32,
     /// EMA of the per-position acceptance rate α.
@@ -29,6 +29,7 @@ impl SmartSpecEngine {
     pub fn new(config: SystemConfig) -> Self {
         Self {
             core: EngineCore::new(config),
+            iter: Iteration::default(),
             max_len: 8,
             alpha: 0.7,
         }
@@ -101,140 +102,34 @@ impl ServingEngine for SmartSpecEngine {
 
     fn step(&mut self, now_ms: f64) -> StepResult {
         self.core.admit_fifo();
-        if let Some(result) = common::full_prefill_pass(&mut self.core, now_ms) {
+        if let Some(result) = self.core.prefill_pass(u32::MAX, now_ms) {
             return result;
         }
-        let ids: Vec<u64> = self
+        let n = self.iter.select_decoding(&self.core);
+        if n == 0 {
+            return StepResult::IDLE;
+        }
+        let decoding = self
             .core
             .running
             .iter()
-            .filter(|r| r.phase == Phase::Decoding)
-            .map(|r| r.spec.id)
-            .collect();
-        if ids.is_empty() {
-            return StepResult { latency_ms: 1.0 };
-        }
-        let mean_ctx = (self
-            .core
-            .running
-            .iter()
-            .filter(|r| r.phase == Phase::Decoding)
-            .map(|r| u64::from(r.context_len()))
-            .sum::<u64>()
-            / ids.len() as u64) as u32;
-        let k = self.pick_len(ids.len(), mean_ctx.max(1));
+            .filter(|r| r.phase == Phase::Decoding);
+        let ctx_sum: u64 = decoding.map(|r| u64::from(r.context_len())).sum();
+        let k = self.pick_len(n, ((ctx_sum / n as u64) as u32).max(1));
 
-        // KV headroom, then draft + verify (chain speculation of length k).
-        let mut surviving = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            let Some(idx) = self.core.running.iter().position(|r| r.spec.id == id) else {
-                continue;
-            };
-            if self.core.grow_with_preemption(idx, u64::from(k) + 1) {
-                surviving.push(id);
-            } else {
-                self.core.preempt(idx);
-            }
-        }
-        surviving.retain(|&id| self.core.running.iter().any(|r| r.spec.id == id));
-        if surviving.is_empty() {
-            return StepResult { latency_ms: 1.0 };
-        }
-        let indices: Vec<usize> = surviving
-            .iter()
-            .map(|&id| {
-                self.core
-                    .running
-                    .iter()
-                    .position(|r| r.spec.id == id)
-                    .expect("alive")
-            })
-            .collect();
-
-        let params = SpecParams::new(k, 1);
-        let mut step_pass = ForwardPass::default();
-        for &i in &indices {
-            step_pass.push(SeqWork::decode(self.core.running[i].context_len()));
-        }
-        let mut draft_ms = self
-            .core
-            .config
-            .testbed
-            .draft
-            .forward_latency_ms(&step_pass, false);
-        if k > 1 {
-            draft_ms += self
-                .core
-                .config
-                .testbed
-                .draft
-                .forward_latency_ms(&step_pass, true)
-                * f64::from(k - 1);
-        }
-        let chains: Vec<CandidateTree> = indices
-            .iter()
-            .map(|&i| {
-                let r = &self.core.running[i];
-                CandidateTree::speculate(self.core.config.pair.draft(), &r.lm_context(), params)
-            })
-            .collect();
-        self.core.breakdown.speculation_ms += draft_ms;
-
-        let mut pass = ForwardPass::default();
-        for (c, &i) in indices.iter().enumerate() {
-            pass.push(SeqWork::verify(
-                chains[c].tree().num_speculated().max(1) as u32,
-                self.core.running[i].context_len(),
-            ));
-        }
-        let verify_ms = self
-            .core
-            .config
-            .testbed
-            .target
-            .forward_latency_ms(&pass, true);
-        self.core.breakdown.verification_ms += verify_ms;
-
-        let mut accepted_sum = 0u64;
-        let mut positions = 0u64;
-        for (c, &i) in indices.iter().enumerate() {
-            let outcome = {
-                let r = &self.core.running[i];
-                verify_tree(
-                    self.core.config.pair.target(),
-                    &r.lm_context(),
-                    chains[c].tree(),
-                    u64::from(r.generated()),
-                    self.core.config.verify_mode,
-                )
-            };
-            let r = &mut self.core.running[i];
-            let remaining = r.remaining() as usize;
-            let mut advanced = 0usize;
-            for &tok in outcome.accepted_tokens.iter().take(remaining) {
-                r.push_token(tok);
-                advanced += 1;
-            }
-            if advanced < remaining {
-                r.push_token(outcome.bonus_token);
-            }
-            accepted_sum += advanced as u64;
-            positions += u64::from(k);
-            self.core.speculated_total += chains[c].tree().num_speculated() as u64;
-            self.core.accepted_total += advanced as u64;
-            let r = &mut self.core.running[i];
-            r.accepted_tokens += advanced as u64;
-            r.verify_steps += 1;
-        }
-        // Update the acceptance estimate (per-position rate).
+        // Chain speculation of length k, then the per-position acceptance
+        // rate observed over the requests that verified.
+        let accepted_before = self.core.accepted_total;
+        let result = self
+            .iter
+            .speculate_verify(&mut self.core, SpecParams::new(k, 1), now_ms);
+        let positions = u64::from(k) * self.iter.decoding().len() as u64;
         if positions > 0 {
-            let observed = accepted_sum as f64 / positions as f64;
+            let accepted = self.core.accepted_total - accepted_before;
+            let observed = accepted as f64 / positions as f64;
             self.alpha = (0.9 * self.alpha + 0.1 * observed).clamp(0.05, 0.98);
         }
-
-        let ms = draft_ms + verify_ms;
-        self.core.collect_finished(now_ms + ms);
-        StepResult { latency_ms: ms }
+        result
     }
 }
 

@@ -8,16 +8,15 @@
 //! between vLLM-Spec (chains) and AdaServe (SLO-customized trees) in the
 //! design space and is used by the ablation harness.
 
-use crate::common;
-use roofline::{ForwardPass, SeqWork};
-use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{verify_tree, CandidateTree, SpecParams};
+use serving::{EngineCore, Iteration, ServingEngine, StepResult, SystemConfig};
+use spectree::SpecParams;
 
 /// The static-tree speculation baseline engine.
 #[derive(Debug)]
 pub struct StaticTreeEngine {
     core: EngineCore,
-    params: SpecParams,
+    iter: Iteration,
+    pub(crate) params: SpecParams,
 }
 
 impl StaticTreeEngine {
@@ -25,6 +24,7 @@ impl StaticTreeEngine {
     pub fn new(config: SystemConfig, depth: u32, width: u32) -> Self {
         Self {
             core: EngineCore::new(config),
+            iter: Iteration::default(),
             params: SpecParams::new(depth, width),
         }
     }
@@ -45,133 +45,13 @@ impl ServingEngine for StaticTreeEngine {
 
     fn step(&mut self, now_ms: f64) -> StepResult {
         self.core.admit_fifo();
-        if let Some(result) = common::full_prefill_pass(&mut self.core, now_ms) {
+        if let Some(result) = self.core.prefill_pass(u32::MAX, now_ms) {
             return result;
         }
-        let ids: Vec<u64> = self
-            .core
-            .running
-            .iter()
-            .filter(|r| r.phase == Phase::Decoding)
-            .map(|r| r.spec.id)
-            .collect();
-        if ids.is_empty() {
-            return StepResult { latency_ms: 1.0 };
-        }
-        let mut surviving = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            let Some(idx) = self.core.running.iter().position(|r| r.spec.id == id) else {
-                continue;
-            };
-            if self
-                .core
-                .grow_with_preemption(idx, u64::from(self.params.depth) + 1)
-            {
-                surviving.push(id);
-            } else {
-                self.core.preempt(idx);
-            }
-        }
-        surviving.retain(|&id| self.core.running.iter().any(|r| r.spec.id == id));
-        if surviving.is_empty() {
-            return StepResult { latency_ms: 1.0 };
-        }
-        let indices: Vec<usize> = surviving
-            .iter()
-            .map(|&id| {
-                self.core
-                    .running
-                    .iter()
-                    .position(|r| r.spec.id == id)
-                    .expect("alive")
-            })
-            .collect();
-
-        // Draft the full static tree for every request.
-        let mut first = ForwardPass::default();
-        for &i in &indices {
-            first.push(SeqWork::decode(self.core.running[i].context_len()));
-        }
-        let mut draft_ms = self
-            .core
-            .config
-            .testbed
-            .draft
-            .forward_latency_ms(&first, false);
-        if self.params.depth > 1 {
-            let mut rest = ForwardPass::default();
-            for &i in &indices {
-                rest.push(SeqWork {
-                    new_tokens: self.params.width,
-                    ctx_len: self.core.running[i].context_len(),
-                });
-            }
-            draft_ms += self
-                .core
-                .config
-                .testbed
-                .draft
-                .forward_latency_ms(&rest, true)
-                * f64::from(self.params.depth - 1);
-        }
-        let trees: Vec<CandidateTree> = indices
-            .iter()
-            .map(|&i| {
-                let r = &self.core.running[i];
-                CandidateTree::speculate(
-                    self.core.config.pair.draft(),
-                    &r.lm_context(),
-                    self.params,
-                )
-            })
-            .collect();
-        self.core.breakdown.speculation_ms += draft_ms;
-
-        let mut pass = ForwardPass::default();
-        for (c, &i) in indices.iter().enumerate() {
-            pass.push(SeqWork::verify(
-                trees[c].tree().num_speculated().max(1) as u32,
-                self.core.running[i].context_len(),
-            ));
-        }
-        let verify_ms = self
-            .core
-            .config
-            .testbed
-            .target
-            .forward_latency_ms(&pass, true);
-        self.core.breakdown.verification_ms += verify_ms;
-
-        for (c, &i) in indices.iter().enumerate() {
-            let outcome = {
-                let r = &self.core.running[i];
-                verify_tree(
-                    self.core.config.pair.target(),
-                    &r.lm_context(),
-                    trees[c].tree(),
-                    u64::from(r.generated()),
-                    self.core.config.verify_mode,
-                )
-            };
-            let r = &mut self.core.running[i];
-            let remaining = r.remaining() as usize;
-            let mut advanced = 0usize;
-            for &tok in outcome.accepted_tokens.iter().take(remaining) {
-                r.push_token(tok);
-                advanced += 1;
-            }
-            if advanced < remaining {
-                r.push_token(outcome.bonus_token);
-            }
-            self.core.speculated_total += trees[c].tree().num_speculated() as u64;
-            self.core.accepted_total += advanced as u64;
-            let r = &mut self.core.running[i];
-            r.accepted_tokens += advanced as u64;
-            r.verify_steps += 1;
-        }
-        let ms = draft_ms + verify_ms;
-        self.core.collect_finished(now_ms + ms);
-        StepResult { latency_ms: ms }
+        // Draft and verify the full static tree for every request.
+        self.iter.select_decoding(&self.core);
+        self.iter
+            .speculate_verify(&mut self.core, self.params, now_ms)
     }
 }
 

@@ -8,12 +8,13 @@
 //! the very property that makes multi-SLO attainment hard (paper Fig. 2).
 
 use crate::common;
-use serving::{EngineCore, ServingEngine, StepResult, SystemConfig};
+use serving::{EngineCore, Iteration, ServingEngine, StepResult, SystemConfig};
 
 /// The vLLM baseline engine.
 #[derive(Debug)]
 pub struct VllmEngine {
     core: EngineCore,
+    iter: Iteration,
 }
 
 impl VllmEngine {
@@ -21,6 +22,7 @@ impl VllmEngine {
     pub fn new(config: SystemConfig) -> Self {
         Self {
             core: EngineCore::new(config),
+            iter: Iteration::default(),
         }
     }
 }
@@ -41,16 +43,11 @@ impl ServingEngine for VllmEngine {
     fn step(&mut self, now_ms: f64) -> StepResult {
         self.core.admit_fifo();
         // Prefill-prioritized: new prompts run alone (vLLM v0 behaviour).
-        if let Some(result) = common::full_prefill_pass(&mut self.core, now_ms) {
+        if let Some(result) = self.core.prefill_pass(u32::MAX, now_ms) {
             return result;
         }
-        let ids = common::decoding_ids(&self.core);
-        let ms = common::decode_iteration(&mut self.core, &ids, now_ms);
-        if ms <= 0.0 {
-            // Nothing decodable (e.g. waiting on memory): idle tick.
-            return StepResult { latency_ms: 1.0 };
-        }
-        StepResult { latency_ms: ms }
+        self.iter.select_decoding(&self.core);
+        common::decode_iteration(&mut self.core, &mut self.iter, 0, now_ms)
     }
 }
 

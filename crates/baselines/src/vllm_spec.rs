@@ -7,172 +7,45 @@
 //! adapt to per-request SLOs (no prioritization) nor to load (at high RPS
 //! the fixed chains flood the verifier; at low RPS they under-utilize it) —
 //! the behaviour Figs. 8–12 demonstrate.
+//!
+//! A chain is a width-1 tree, so vLLM-Spec(k) is served by the `(k, 1)`
+//! [`StaticTreeEngine`]: it serves the same records, under its own name.
 
-use crate::common;
-use roofline::{ForwardPass, SeqWork};
-use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{verify_tree, CandidateTree, SpecParams};
+use crate::StaticTreeEngine;
+use serving::{EngineCore, ServingEngine, StepResult, SystemConfig};
 
-/// The vLLM-Spec(k) baseline engine.
+/// The vLLM-Spec(k) baseline engine: the `(k, 1)` static tree.
 #[derive(Debug)]
-pub struct VllmSpecEngine {
-    core: EngineCore,
-    /// Fixed speculation length (the paper evaluates k ∈ {4, 6, 8}).
-    spec_len: u32,
-}
+pub struct VllmSpecEngine(StaticTreeEngine);
 
 impl VllmSpecEngine {
-    /// Creates the engine with draft-chain length `spec_len`.
+    /// Creates the engine with draft-chain length `spec_len` (the paper
+    /// evaluates k ∈ {4, 6, 8}).
     ///
     /// # Panics
     ///
     /// Panics if `spec_len` is zero.
     pub fn new(config: SystemConfig, spec_len: u32) -> Self {
         assert!(spec_len >= 1);
-        Self {
-            core: EngineCore::new(config),
-            spec_len,
-        }
+        Self(StaticTreeEngine::new(config, spec_len, 1))
     }
 }
 
 impl ServingEngine for VllmSpecEngine {
     fn name(&self) -> String {
-        format!("vLLM-Spec({})", self.spec_len)
+        format!("vLLM-Spec({})", self.0.params.depth)
     }
 
     fn core(&self) -> &EngineCore {
-        &self.core
+        self.0.core()
     }
 
     fn core_mut(&mut self) -> &mut EngineCore {
-        &mut self.core
+        self.0.core_mut()
     }
 
     fn step(&mut self, now_ms: f64) -> StepResult {
-        self.core.admit_fifo();
-        if let Some(result) = common::full_prefill_pass(&mut self.core, now_ms) {
-            return result;
-        }
-
-        // Reserve KV for the chain + bonus token per decoding request.
-        let ids: Vec<u64> = self
-            .core
-            .running
-            .iter()
-            .filter(|r| r.phase == Phase::Decoding)
-            .map(|r| r.spec.id)
-            .collect();
-        let mut surviving = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            let Some(idx) = self.core.running.iter().position(|r| r.spec.id == id) else {
-                continue;
-            };
-            if self
-                .core
-                .grow_with_preemption(idx, u64::from(self.spec_len) + 1)
-            {
-                surviving.push(id);
-            } else {
-                self.core.preempt(idx);
-            }
-        }
-        surviving.retain(|&id| self.core.running.iter().any(|r| r.spec.id == id));
-        if surviving.is_empty() {
-            return StepResult { latency_ms: 1.0 };
-        }
-        let indices: Vec<usize> = surviving
-            .iter()
-            .map(|&id| {
-                self.core
-                    .running
-                    .iter()
-                    .position(|r| r.spec.id == id)
-                    .expect("alive")
-            })
-            .collect();
-
-        // ---- Draft: k sequential chain steps (width-1 beam). ----
-        let params = SpecParams::new(self.spec_len, 1);
-        let mut draft_ms = 0.0;
-        {
-            let mut step_pass = ForwardPass::default();
-            for &i in &indices {
-                step_pass.push(SeqWork::decode(self.core.running[i].context_len()));
-            }
-            // First step eager (shape change), rest replay captured graphs.
-            draft_ms += self
-                .core
-                .config
-                .testbed
-                .draft
-                .forward_latency_ms(&step_pass, false);
-            if self.spec_len > 1 {
-                let per = self
-                    .core
-                    .config
-                    .testbed
-                    .draft
-                    .forward_latency_ms(&step_pass, true);
-                draft_ms += per * f64::from(self.spec_len - 1);
-            }
-        }
-        let chains: Vec<CandidateTree> = indices
-            .iter()
-            .map(|&i| {
-                let r = &self.core.running[i];
-                CandidateTree::speculate(self.core.config.pair.draft(), &r.lm_context(), params)
-            })
-            .collect();
-        self.core.breakdown.speculation_ms += draft_ms;
-
-        // ---- Verify all chains in one batched pass. ----
-        let mut pass = ForwardPass::default();
-        for (k, &i) in indices.iter().enumerate() {
-            pass.push(SeqWork::verify(
-                chains[k].tree().num_speculated().max(1) as u32,
-                self.core.running[i].context_len(),
-            ));
-        }
-        let verify_ms = self
-            .core
-            .config
-            .testbed
-            .target
-            .forward_latency_ms(&pass, true);
-        self.core.breakdown.verification_ms += verify_ms;
-
-        for (k, &i) in indices.iter().enumerate() {
-            let outcome = {
-                let r = &self.core.running[i];
-                verify_tree(
-                    self.core.config.pair.target(),
-                    &r.lm_context(),
-                    chains[k].tree(),
-                    u64::from(r.generated()),
-                    self.core.config.verify_mode,
-                )
-            };
-            let r = &mut self.core.running[i];
-            let remaining = r.remaining() as usize;
-            let mut advanced = 0usize;
-            for &tok in outcome.accepted_tokens.iter().take(remaining) {
-                r.push_token(tok);
-                advanced += 1;
-            }
-            if advanced < remaining {
-                r.push_token(outcome.bonus_token);
-            }
-            self.core.speculated_total += chains[k].tree().num_speculated() as u64;
-            self.core.accepted_total += advanced as u64;
-            let r = &mut self.core.running[i];
-            r.accepted_tokens += advanced as u64;
-            r.verify_steps += 1;
-        }
-
-        let ms = draft_ms + verify_ms;
-        self.core.collect_finished(now_ms + ms);
-        StepResult { latency_ms: ms }
+        self.0.step(now_ms)
     }
 }
 

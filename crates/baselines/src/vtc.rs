@@ -7,13 +7,15 @@
 //! throttled toward its fair share regardless of its latency needs, which is
 //! why VTC underperforms on the Fig. 1 multi-SLO workload.
 
-use serving::{EngineCore, ServingEngine, StepResult, SystemConfig};
+use crate::common;
+use serving::{EngineCore, Iteration, Phase, ServingEngine, StepResult, SystemConfig};
 use workload::Category;
 
 /// The VTC baseline engine.
 #[derive(Debug)]
 pub struct VtcEngine {
     core: EngineCore,
+    iter: Iteration,
     /// Per-category virtual token counters (prefill + decode tokens served).
     counters: [f64; 3],
     /// Per-category weights (equal by default).
@@ -25,6 +27,7 @@ impl VtcEngine {
     pub fn new(config: SystemConfig) -> Self {
         Self {
             core: EngineCore::new(config),
+            iter: Iteration::default(),
             counters: [0.0; 3],
             weights: [1.0; 3],
         }
@@ -69,7 +72,7 @@ impl ServingEngine for VtcEngine {
         self.core.waiting.extend(sorted);
         self.core.admit_fifo();
 
-        if let Some(result) = crate::common::full_prefill_pass(&mut self.core, now_ms) {
+        if let Some(result) = self.core.prefill_pass(u32::MAX, now_ms) {
             // Charge prefilled tokens to their categories.
             let charges: Vec<(Category, f64)> = self
                 .core
@@ -84,25 +87,22 @@ impl ServingEngine for VtcEngine {
             return result;
         }
 
-        let ids = crate::common::decoding_ids(&self.core);
-        let charges: Vec<Category> = ids
+        // Every selected request is charged one token if the batch runs.
+        self.iter.select_decoding(&self.core);
+        let charges: Vec<Category> = self
+            .core
+            .running
             .iter()
-            .filter_map(|&id| {
-                self.core
-                    .running
-                    .iter()
-                    .find(|r| r.spec.id == id)
-                    .map(|r| r.spec.category)
-            })
+            .filter(|r| r.phase == Phase::Decoding)
+            .map(|r| r.spec.category)
             .collect();
-        let ms = crate::common::decode_iteration(&mut self.core, &ids, now_ms);
-        if ms <= 0.0 {
-            return StepResult { latency_ms: 1.0 };
+        let result = common::decode_iteration(&mut self.core, &mut self.iter, 0, now_ms);
+        if !self.iter.decoding().is_empty() {
+            for c in charges {
+                self.charge(c, 1.0);
+            }
         }
-        for c in charges {
-            self.charge(c, 1.0);
-        }
-        StepResult { latency_ms: ms }
+        result
     }
 }
 

@@ -11,19 +11,21 @@
 //! 4. **Verification** — the target model verifies every draft tree in one
 //!    batched pass (co-batched with chunked prefill of incoming prompts).
 //!
+//! Steps 2–3 are AdaServe's own, and so are the inputs of the others: the
+//! adaptive `(d, w)` of step 1 and the prefill chunk of step 4. The stages
+//! themselves — the KV capacity pass, speculation into pooled candidate
+//! trees, verification co-batched with prefill and the prefill-only pass —
+//! are the [`serving::Iteration`] every speculating baseline shares.
+//!
 //! Speculation and verification are charged to the (modelled) GPU; selection
 //! is real CPU work measured with a wall-clock timer (reproducing the
 //! paper's Fig. 15 overhead claim on *this* implementation).
 
 use crate::scheduler::SloCustomizedScheduler;
 use crate::scsd::{select_tokens_with, ScsdInput, ScsdScratch};
-use roofline::{BudgetPolicy, ForwardPass, SeqWork, TokenBudgetProfile};
-use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{
-    verify_tree_with, CandidateTree, SpecParams, SpeculateScratch, SubtreeScratch, TokenTree,
-    VerifyScratch,
-};
-use std::collections::HashMap;
+use roofline::{BudgetPolicy, TokenBudgetProfile};
+use serving::{EngineCore, Iteration, ServingEngine, StepResult, SystemConfig};
+use spectree::{SpecParams, SubtreeScratch, TokenTree};
 use std::time::Instant;
 
 /// Tunables of the AdaServe engine (defaults follow the paper).
@@ -62,64 +64,19 @@ impl Default for AdaServeOptions {
     }
 }
 
-/// Iteration-scoped scratch state, hoisted out of [`AdaServeEngine::step`]
+/// Selection-scoped scratch state, hoisted out of [`AdaServeEngine::step`]
 /// so the hot loop reuses buffers instead of reallocating them every
-/// iteration (candidate trees, selections, requirement vectors, the
-/// request-position map of the capacity pass).
+/// iteration (the shared stages pool theirs in [`Iteration`]).
 #[derive(Debug, Default)]
-struct IterScratch {
-    /// Surviving decoding indices of the current iteration.
-    decoding: Vec<usize>,
-    /// Request-id worklist of the capacity pass.
-    ids: Vec<u64>,
-    /// Ids that kept their KV reservation.
-    surviving: Vec<u64>,
-    /// Lazily rebuilt id → running-index map (invalidated by preemption).
-    positions: HashMap<u64, usize>,
+struct SelectScratch {
     /// Per-request `A_cap` requirements.
     requirements: Vec<f64>,
     /// Selection working state (candidate orders, counters, heap).
     scsd: ScsdScratch,
-    /// Beam-search buffers.
-    spec: SpeculateScratch,
     /// Subtree-extraction buffers (kept-id sort, dense remap).
     subtree: SubtreeScratch,
-    /// Verification-walk buffers (extended context, path tokens).
-    verify: VerifyScratch,
-    /// Pooled candidate trees (rebuilt in place each iteration).
-    candidates: Vec<CandidateTree>,
     /// Pooled selected draft trees (rebuilt in place each iteration).
     draft_trees: Vec<TokenTree>,
-    /// Iterations in which any buffer above grew its allocation.
-    grow_events: u64,
-}
-
-impl IterScratch {
-    /// Sum of tracked buffer capacities (allocation-discipline probe),
-    /// including the pooled tree arenas — so a regression that breaks
-    /// `TokenTree::reset` pooling shows up in `scratch_grow_events`.
-    fn capacity_sum(&self) -> usize {
-        self.decoding.capacity()
-            + self.ids.capacity()
-            + self.surviving.capacity()
-            + self.positions.capacity()
-            + self.requirements.capacity()
-            + self.scsd.capacity_sum()
-            + self.subtree.capacity_sum()
-            + self.verify.capacity_sum()
-            + self.candidates.capacity()
-            + self
-                .candidates
-                .iter()
-                .map(|c| c.tree().arena_capacity() + c.layers().len())
-                .sum::<usize>()
-            + self.draft_trees.capacity()
-            + self
-                .draft_trees
-                .iter()
-                .map(TokenTree::arena_capacity)
-                .sum::<usize>()
-    }
 }
 
 /// The AdaServe serving engine.
@@ -129,7 +86,10 @@ pub struct AdaServeEngine {
     scheduler: SloCustomizedScheduler,
     options: AdaServeOptions,
     profile: TokenBudgetProfile,
-    scratch: IterScratch,
+    iter: Iteration,
+    scratch: SelectScratch,
+    /// Iterations in which any pooled buffer grew its allocation.
+    grow_events: u64,
 }
 
 impl AdaServeEngine {
@@ -156,7 +116,9 @@ impl AdaServeEngine {
             scheduler,
             options,
             profile,
-            scratch: IterScratch::default(),
+            iter: Iteration::default(),
+            scratch: SelectScratch::default(),
+            grow_events: 0,
         }
     }
 
@@ -175,88 +137,72 @@ impl AdaServeEngine {
         &mut self.scheduler
     }
 
-    /// Ensures KV headroom for every decoding request (context + d + 1
-    /// tokens), preempting later-admitted requests on pressure. Fills
-    /// `self.scratch.decoding` with the surviving decoding indices
-    /// (stable order).
-    ///
-    /// Works by request id because preemption inside the loop reshuffles
-    /// indices — but resolves ids through a position map that is only
-    /// rebuilt when a preemption actually changed the batch, so the
-    /// common (no-pressure) iteration is O(n) instead of the old
-    /// O(n²) `position()`-per-id scan.
-    fn ensure_decode_capacity(&mut self, depth: u32) {
+    /// Steps 2–3: SLO-customized, then throughput-optimized selection over
+    /// the candidate trees, extracted into the pooled draft trees.
+    fn select(&mut self, now_ms: f64, depth: u32) {
         let scratch = &mut self.scratch;
-        scratch.ids.clear();
-        scratch.ids.extend(
-            self.core
-                .running
-                .iter()
-                .filter(|r| r.phase == Phase::Decoding)
-                .map(|r| r.spec.id),
+        let running = &self.core.running;
+        self.scheduler.requirements_into(
+            self.iter.decoding().iter().map(|&i| &running[i]),
+            now_ms,
+            depth,
+            &mut scratch.requirements,
         );
-        let rebuild = |positions: &mut HashMap<u64, usize>, core: &EngineCore| {
-            positions.clear();
-            positions.extend(core.running.iter().enumerate().map(|(i, r)| (r.spec.id, i)));
-        };
-        rebuild(&mut scratch.positions, &self.core);
-        let mut map_len = self.core.running.len();
-        scratch.surviving.clear();
-        for &id in &scratch.ids {
-            if self.core.running.len() != map_len {
-                // A preemption (victim or self) shrank the batch: the map
-                // is stale, rebuild it once before the next lookup.
-                rebuild(&mut scratch.positions, &self.core);
-                map_len = self.core.running.len();
-            }
-            let Some(&idx) = scratch.positions.get(&id) else {
-                continue; // Preempted as a victim of an earlier growth.
-            };
-            if self.core.grow_with_preemption(idx, u64::from(depth) + 1) {
-                scratch.surviving.push(id);
-            } else {
-                // Could not fit even alone: preempt self and retry later.
-                // The failed growth evicted every other request, shifting
-                // this one's position — re-resolve by id, never by the
-                // stale index.
-                if let Some(pos) = self.core.running.iter().position(|r| r.spec.id == id) {
-                    self.core.preempt(pos);
-                }
-            }
-        }
-        if self.core.running.len() != map_len {
-            rebuild(&mut scratch.positions, &self.core);
-        }
-        scratch.decoding.clear();
-        scratch.decoding.extend(
+        // One small per-iteration allocation remains in the selection
+        // path: this vec of n tree references for `ScsdInput` (borrow
+        // rules keep it out of the scratch struct).
+        let candidate_trees: Vec<&TokenTree> =
+            self.iter.candidates().iter().map(|c| c.tree()).collect();
+        let n = candidate_trees.len();
+        let budget = self.scheduler.verify_budget.saturating_sub(n as u64); // roots
+        select_tokens_with(
+            &ScsdInput {
+                candidates: &candidate_trees,
+                requirements: &scratch.requirements,
+                budget,
+                n_max: self.scheduler.n_max,
+                min_phase2_prob: self.options.min_phase2_prob,
+            },
+            &mut scratch.scsd,
+        );
+        if scratch.draft_trees.len() < n {
             scratch
-                .surviving
-                .iter()
-                .filter_map(|id| scratch.positions.get(id).copied()),
-        );
+                .draft_trees
+                .resize_with(n, || TokenTree::new(simllm::TokenId(0)));
+        }
+        for (k, cand) in candidate_trees.iter().enumerate() {
+            cand.induced_subtree_into(
+                &scratch.scsd.ordered[k][..scratch.scsd.taken[k]],
+                &mut scratch.draft_trees[k],
+                &mut scratch.subtree,
+            )
+            .expect("connected selection");
+        }
     }
 
-    /// One pure-prefill pass over waiting prompts (no decoding requests).
-    fn prefill_only_step(&mut self, now_ms: f64) -> StepResult {
-        let plan = self.core.plan_prefill(self.options.prefill_chunk.max(2048));
-        if plan.is_empty() {
-            // Admitted nothing and nothing to prefill: idle tick.
-            return StepResult { latency_ms: 1.0 };
-        }
-        let mut pass = ForwardPass::default();
-        for &(i, chunk) in &plan {
-            pass.push(SeqWork::prefill(chunk, self.core.running[i].prefilled()));
-        }
-        let ms = self
-            .core
-            .config
-            .testbed
-            .target
-            .forward_latency_ms(&pass, false);
-        self.core.apply_prefill(&plan);
-        self.core.breakdown.prefill_ms += ms;
-        self.core.stamp_decode_starts(now_ms + ms);
-        StepResult { latency_ms: ms }
+    /// Sum of tracked buffer capacities (allocation-discipline probe),
+    /// including the pooled tree arenas — so a regression that breaks
+    /// `TokenTree::reset` pooling shows up in `scratch_grow_events`.
+    fn capacity_sum(&self) -> usize {
+        let scratch = &self.scratch;
+        self.iter.capacity_sum()
+            + scratch.requirements.capacity()
+            + scratch.scsd.capacity_sum()
+            + scratch.subtree.capacity_sum()
+            + scratch.draft_trees.capacity()
+            + scratch
+                .draft_trees
+                .iter()
+                .map(TokenTree::arena_capacity)
+                .sum::<usize>()
+    }
+
+    /// A prefill-only iteration over waiting prompts, or an idle tick.
+    fn prefill_only(&mut self, now_ms: f64) -> StepResult {
+        let budget = self.options.prefill_chunk.max(2048);
+        self.core
+            .prefill_pass(budget, now_ms)
+            .unwrap_or(StepResult::IDLE)
     }
 }
 
@@ -275,195 +221,59 @@ impl ServingEngine for AdaServeEngine {
 
     fn step(&mut self, now_ms: f64) -> StepResult {
         self.core.admit_fifo();
+        // Snapshot before the capacity pass so its scratch growth (id
+        // worklist, position map) counts toward the discipline probe too.
+        let cap_before = self.capacity_sum();
 
         // Adaptive parameters from the decoding population.
-        let n_decoding = self
-            .core
-            .running
-            .iter()
-            .filter(|r| r.phase == Phase::Decoding)
-            .count();
+        let n_decoding = self.iter.select_decoding(&self.core);
         if n_decoding == 0 {
-            return self.prefill_only_step(now_ms);
+            return self.prefill_only(now_ms);
         }
-        let mut params = self.scheduler.spec_params(n_decoding);
-        if self.core.degraded {
+        let params = if self.core.degraded {
             // Graceful degradation under recovery pressure: shed the
             // speculation tree down to plain decoding (depth 1 emits the
             // one committed token per iteration, no drafts) so compute
             // goes to catching up retried requests, not to gambles.
-            params = SpecParams::new(1, 1);
-        }
-
-        // Snapshot before the capacity pass so its scratch growth (id
-        // worklist, position map) counts toward the discipline probe too.
-        let cap_before = self.scratch.capacity_sum();
+            SpecParams::new(1, 1)
+        } else {
+            self.scheduler.spec_params(n_decoding)
+        };
 
         // Capacity first so the decoding set is stable for the iteration.
-        self.ensure_decode_capacity(params.depth);
-        if self.scratch.decoding.is_empty() {
-            return self.prefill_only_step(now_ms);
+        let n = self
+            .iter
+            .reserve(&mut self.core, u64::from(params.depth) + 1);
+        if n == 0 {
+            return self.prefill_only(now_ms);
         }
-        let n = self.scratch.decoding.len();
 
         // ---- Step 1: speculation (draft model, GPU). ----
-        let mut draft_ms = 0.0;
-        {
-            // First step: all roots (shape changes iteration to iteration →
-            // eager); steps 2..d: n×w tokens with stable shapes → CUDA graph
-            // (paper §5.2).
-            let mut first = ForwardPass::default();
-            for &i in &self.scratch.decoding {
-                first.push(SeqWork::decode(self.core.running[i].context_len()));
-            }
-            draft_ms += self
-                .core
-                .config
-                .testbed
-                .draft
-                .forward_latency_ms(&first, false);
-            if params.depth > 1 {
-                let mut rest = ForwardPass::default();
-                for &i in &self.scratch.decoding {
-                    rest.push(SeqWork {
-                        new_tokens: params.width,
-                        ctx_len: self.core.running[i].context_len(),
-                    });
-                }
-                let per_step = self
-                    .core
-                    .config
-                    .testbed
-                    .draft
-                    .forward_latency_ms(&rest, true);
-                draft_ms += per_step * f64::from(params.depth - 1);
-            }
-        }
-        {
-            // Beam search per request into the pooled candidate trees —
-            // arena, layer list and beam buffers all reused.
-            let scratch = &mut self.scratch;
-            if scratch.candidates.len() < n {
-                scratch.candidates.resize_with(n, CandidateTree::empty);
-            }
-            let running = &self.core.running;
-            let draft = self.core.config.pair.draft();
-            for (cand, &i) in scratch.candidates.iter_mut().zip(&scratch.decoding) {
-                cand.speculate_with(draft, &running[i].lm_context(), params, &mut scratch.spec);
-            }
-        }
-        self.core.breakdown.speculation_ms += draft_ms;
+        let draft_ms = self.iter.speculate(&mut self.core, params);
 
         // ---- Steps 2–3: selection (CPU, wall-clock measured). ----
         let sched_timer = Instant::now();
-        {
-            let scratch = &mut self.scratch;
-            self.scheduler.requirements_into(
-                scratch.decoding.iter().map(|&i| &self.core.running[i]),
-                now_ms,
-                params.depth,
-                &mut scratch.requirements,
-            );
-            // One small per-iteration allocation remains in the selection
-            // path: this vec of n tree references for `ScsdInput` (borrow
-            // rules keep it out of the scratch struct).
-            let candidate_trees: Vec<&TokenTree> =
-                scratch.candidates[..n].iter().map(|c| c.tree()).collect();
-            let budget = self.scheduler.verify_budget.saturating_sub(n as u64); // roots
-            select_tokens_with(
-                &ScsdInput {
-                    candidates: &candidate_trees,
-                    requirements: &scratch.requirements,
-                    budget,
-                    n_max: self.scheduler.n_max,
-                    min_phase2_prob: self.options.min_phase2_prob,
-                },
-                &mut scratch.scsd,
-            );
-            if scratch.draft_trees.len() < n {
-                scratch
-                    .draft_trees
-                    .resize_with(n, || TokenTree::new(simllm::TokenId(0)));
-            }
-            for (k, cand) in candidate_trees.iter().enumerate() {
-                cand.induced_subtree_into(
-                    &scratch.scsd.ordered[k][..scratch.scsd.taken[k]],
-                    &mut scratch.draft_trees[k],
-                    &mut scratch.subtree,
-                )
-                .expect("connected selection");
-            }
-        }
+        self.select(now_ms, params.depth);
         self.core.breakdown.scheduling_ms += sched_timer.elapsed().as_secs_f64() * 1e3;
 
         // ---- Step 4: verification (target model, GPU), co-batched with
         // chunked prefill. ----
-        let draft_trees = &self.scratch.draft_trees;
         let prefill_plan = self.core.plan_prefill(self.options.prefill_chunk);
-        let mut pass = ForwardPass::default();
-        for (k, &i) in self.scratch.decoding.iter().enumerate() {
-            let tree_tokens = draft_trees[k].num_speculated().max(1) as u32;
-            pass.push(SeqWork::verify(
-                tree_tokens,
-                self.core.running[i].context_len(),
-            ));
-        }
-        for &(i, chunk) in &prefill_plan {
-            pass.push(SeqWork::prefill(chunk, self.core.running[i].prefilled()));
-        }
-        let cobatched = !prefill_plan.is_empty();
-        let verify_ms = self
-            .core
-            .config
-            .testbed
-            .target
-            .forward_latency_ms(&pass, !cobatched);
-        self.core.breakdown.verification_ms += verify_ms;
-
-        // Apply verification outcomes against the synthetic target model.
-        for (k, &i) in self.scratch.decoding.iter().enumerate() {
-            let outcome = {
-                let r = &self.core.running[i];
-                verify_tree_with(
-                    self.core.config.pair.target(),
-                    &r.lm_context(),
-                    &draft_trees[k],
-                    u64::from(r.generated()),
-                    self.core.config.verify_mode,
-                    &mut self.scratch.verify,
-                )
-            };
-            let num_speculated = draft_trees[k].num_speculated() as u64;
-            let r = &mut self.core.running[i];
-            let remaining = r.remaining() as usize;
-            let mut advanced = 0usize;
-            for &tok in outcome.accepted_tokens.iter().take(remaining) {
-                r.push_token(tok);
-                advanced += 1;
-            }
-            if advanced < remaining {
-                r.push_token(outcome.bonus_token);
-            }
-            self.core.speculated_total += num_speculated;
-            self.core.accepted_total += advanced as u64;
-            let r = &mut self.core.running[i];
-            r.accepted_tokens += advanced as u64;
-            r.verify_steps += 1;
-        }
-        self.core.apply_prefill(&prefill_plan);
+        let trees = &self.scratch.draft_trees[..n];
+        let verify_ms = self.iter.verify(&mut self.core, trees, &prefill_plan);
 
         // Hot-loop health counters: cache effectiveness and allocation
         // discipline, surfaced through `RunResult`/`UnitStats`.
-        if self.scratch.capacity_sum() > cap_before {
-            self.scratch.grow_events += 1;
+        if self.capacity_sum() > cap_before {
+            self.grow_events += 1;
         }
         let cache = self.core.config.pair.dist_cache_stats();
-        self.core.hotloop.dist_cache_hits = cache.hits;
-        self.core.hotloop.dist_cache_misses = cache.misses;
-        self.core.hotloop.scratch_grow_events =
-            self.scratch.grow_events + self.scratch.spec.grow_events();
-        self.core.hotloop.iterations += 1;
-        self.core.hotloop.peak_decode_batch = self.core.hotloop.peak_decode_batch.max(n as u64);
+        let hot = &mut self.core.hotloop;
+        hot.dist_cache_hits = cache.hits;
+        hot.dist_cache_misses = cache.misses;
+        hot.scratch_grow_events = self.grow_events + self.iter.speculate_grow_events();
+        hot.iterations += 1;
+        hot.peak_decode_batch = hot.peak_decode_batch.max(n as u64);
 
         let iter_ms = draft_ms + verify_ms;
         self.scheduler.observe_iteration(iter_ms);

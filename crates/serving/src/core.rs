@@ -7,10 +7,12 @@
 //! invariants, keeping baselines and AdaServe comparable.
 
 use crate::config::SystemConfig;
+use crate::engine::StepResult;
 use crate::kv::BlockManager;
 use crate::prefix::PrefixCache;
 use crate::request::{LiveRequest, Phase};
 use metrics::{HotLoopStats, LatencyBreakdown, RequestRecord};
+use roofline::{ForwardPass, SeqWork};
 use simllm::{sample_seeded, Lm, TokenId};
 use std::collections::VecDeque;
 use workload::RequestSpec;
@@ -194,6 +196,29 @@ impl EngineCore {
                 }
             }
         }
+    }
+
+    /// A prefill-only iteration: one target pass over up to `budget`
+    /// prompt tokens of the running requests (`u32::MAX` prefills whole
+    /// prompts, vLLM's prefill-prioritized iteration). Returns `None` if
+    /// no request needs prefill.
+    pub fn prefill_pass(&mut self, budget: u32, now_ms: f64) -> Option<StepResult> {
+        let plan = self.plan_prefill(budget);
+        if plan.is_empty() {
+            return None;
+        }
+        let work = plan
+            .iter()
+            .map(|&(i, chunk)| SeqWork::prefill(chunk, self.running[i].prefilled()));
+        let ms = self
+            .config
+            .testbed
+            .target
+            .forward_latency_ms(&ForwardPass::new(work.collect()), false);
+        self.apply_prefill(&plan);
+        self.breakdown.prefill_ms += ms;
+        self.stamp_decode_starts(now_ms + ms);
+        Some(StepResult { latency_ms: ms })
     }
 
     /// Indices of running requests currently in the decode phase.

@@ -20,6 +20,12 @@ pub struct StepResult {
     pub latency_ms: f64,
 }
 
+impl StepResult {
+    /// An idle tick: nothing could run this iteration (no work, or every
+    /// request is waiting on memory).
+    pub const IDLE: StepResult = StepResult { latency_ms: 1.0 };
+}
+
 /// A serving engine: policy logic over an [`EngineCore`].
 ///
 /// `Send` is a supertrait so multi-replica drivers can step boxed engines

@@ -20,6 +20,9 @@
 //! * [`core`] — [`core::EngineCore`], the queueing/admission/prefill and
 //!   bookkeeping machinery engines compose (waiting queue, running batch,
 //!   completion records, latency breakdown);
+//! * [`iteration`] — the [`iteration::Iteration`] stages every engine
+//!   shares: the KV capacity pass, speculation into pooled candidate
+//!   trees, and verification co-batched with prefill;
 //! * [`replica`] — the one stepped [`replica::Replica`] type (an engine on
 //!   its own clock, with its stall guard, lifecycle tracker and fault
 //!   state) and the [`replica::ReplicaPool`] that steps a set of them,
@@ -50,13 +53,13 @@ pub mod core;
 pub mod engine;
 pub mod exec;
 pub mod fault;
+pub mod iteration;
 pub mod kv;
 pub mod prefix;
 pub mod probe;
 pub mod replica;
 pub mod request;
 pub mod session;
-pub mod swap;
 
 pub use colocated::Colocated;
 pub use config::SystemConfig;
@@ -67,6 +70,7 @@ pub use engine::{
 };
 pub use exec::{ExecMode, ShardedExecutor};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
+pub use iteration::Iteration;
 pub use kv::BlockManager;
 pub use prefix::{PrefixCache, PrefixStats};
 pub use probe::{fleet_gauges, trace_replica};
@@ -76,4 +80,3 @@ pub use session::{
     Deployment, DeploymentEvent, DeploymentStep, LifecycleTracker, RejectReason, ReplicaAddr,
     RunReport, ScalePlan, ScalingAction, ServeSession, SessionHandle, UnitStats,
 };
-pub use swap::SwapLink;

@@ -93,6 +93,17 @@ pub enum RejectReason {
         /// The deployment's smallest per-replica KV capacity, in tokens.
         capacity_tokens: u64,
     },
+    /// The prompt fits, but prompt plus output can never fit the
+    /// deployment's smallest KV pool: no replica could ever finish it
+    /// (vLLM likewise refuses prompt + `max_tokens` > `max_model_len`).
+    ContextExceedsKv {
+        /// Prompt length of the refused request, in tokens.
+        prompt_tokens: u32,
+        /// Output length of the refused request, in tokens.
+        output_tokens: u32,
+        /// The deployment's smallest per-replica KV capacity, in tokens.
+        capacity_tokens: u64,
+    },
     /// The request's tenant is already holding its full admission quota
     /// of queued requests, so a weighted-fair front door refused it
     /// rather than let one tenant monopolize the waiting queue.
@@ -119,6 +130,31 @@ pub enum RejectReason {
     },
 }
 
+impl RejectReason {
+    /// Why `spec` can never be served by a deployment whose smallest KV
+    /// pool holds `capacity` tokens, when `cached` of its prompt tokens are
+    /// already cached; `None` if it can. The uncached prompt plus one token
+    /// must fit, and so must the whole context: the prefix cache keeps its
+    /// own budget apart from the block pool, and a preempted request
+    /// forgets its cache hit.
+    fn kv_refusal(spec: &RequestSpec, capacity: u64, cached: u32) -> Option<Self> {
+        if u64::from(spec.prompt_len.saturating_sub(cached)) + 1 > capacity {
+            Some(RejectReason::PromptExceedsKv {
+                prompt_tokens: spec.prompt_len,
+                capacity_tokens: capacity,
+            })
+        } else if u64::from(spec.prompt_len) + u64::from(spec.output_len) > capacity {
+            Some(RejectReason::ContextExceedsKv {
+                prompt_tokens: spec.prompt_len,
+                output_tokens: spec.output_len,
+                capacity_tokens: capacity,
+            })
+        } else {
+            None
+        }
+    }
+}
+
 impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -129,6 +165,15 @@ impl std::fmt::Display for RejectReason {
                 f,
                 "prompt of {prompt_tokens} tokens exceeds the deployment's \
                  {capacity_tokens}-token KV capacity"
+            ),
+            RejectReason::ContextExceedsKv {
+                prompt_tokens,
+                output_tokens,
+                capacity_tokens,
+            } => write!(
+                f,
+                "prompt of {prompt_tokens} tokens plus {output_tokens} output tokens \
+                 exceeds the deployment's {capacity_tokens}-token KV capacity"
             ),
             RejectReason::TenantOverQuota { tenant, quota } => write!(
                 f,
@@ -962,11 +1007,7 @@ impl<D: Deployment> ServeSession<D> {
                 if self.admission_control {
                     let capacity = self.deployment.kv_capacity_tokens();
                     let cached = self.deployment.cached_prefix_tokens(&spec);
-                    if u64::from(spec.prompt_len.saturating_sub(cached)) + 1 > capacity {
-                        let reason = RejectReason::PromptExceedsKv {
-                            prompt_tokens: spec.prompt_len,
-                            capacity_tokens: capacity,
-                        };
+                    if let Some(reason) = RejectReason::kv_refusal(&spec, capacity, cached) {
                         let event = DeploymentEvent::Rejected {
                             id: spec.id,
                             reason,

@@ -46,7 +46,8 @@
 //!   tree construction (Algorithm 1), SLO-customized speculative decoding
 //!   (Algorithm 2), adaptive control and the [`core::AdaServeEngine`];
 //! * [`baselines`] — vLLM, Sarathi-Serve, vLLM-Spec(k), vLLM+Priority,
-//!   FastServe and VTC reimplemented on the same substrate;
+//!   FastServe and VTC (plus SmartSpec and static trees) reimplemented on
+//!   the same substrate;
 //! * [`serving`] — request lifecycle, paged KV cache, and the
 //!   [`Deployment`]/[`ServeSession`] front door;
 //! * [`cluster`] — multi-replica fleets: pluggable request routers

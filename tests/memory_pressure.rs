@@ -1,8 +1,12 @@
 //! Integration: failure injection — tiny KV pools force preemption storms;
 //! conservation and accounting must hold throughout.
 
-use adaserve::baselines::{SarathiEngine, VllmEngine, VllmSpecEngine};
+use adaserve::baselines::{
+    SarathiEngine, SmartSpecEngine, StaticTreeEngine, VllmEngine, VllmSpecEngine,
+};
+use adaserve::cluster::RouterKind;
 use adaserve::core::AdaServeEngine;
+use adaserve::disagg::{DisaggCluster, Dispatcher, KvLink, PrefillPool};
 use adaserve::serving::{
     BlockManager, Colocated, RunOptions, RunReport, ServeSession, ServingEngine, SystemConfig,
 };
@@ -118,4 +122,84 @@ fn single_oversized_request_fits_or_errors_cleanly() {
         .expect("rejection keeps the run alive");
     assert!(report.records.is_empty());
     assert_eq!(report.rejected.len(), 1);
+}
+
+/// One request of `prompt_len + output_len` tokens, alone.
+fn alone(prompt_len: u32, output_len: u32) -> Workload {
+    Workload {
+        requests: vec![RequestSpec {
+            id: 0,
+            category: Category::Chatbot,
+            arrival_ms: 0.0,
+            prompt_len,
+            output_len,
+            tpot_slo_ms: 50.0,
+            ttft_slo_ms: 1_000.0,
+            stream_seed: 0x77,
+            prefix: None,
+        }],
+        description: "alone".into(),
+    }
+}
+
+#[test]
+fn speculating_engines_finish_a_request_that_fits_the_pool() {
+    // 40 + 22 = 62 tokens fit a 64-token pool, but a speculation depth
+    // plus one bonus token of headroom does not once the context nears
+    // its end. The capacity pass must fall back to the tokens the request
+    // still has to emit rather than preempt it, re-admit it and fail the
+    // same way until the run hits its time cap.
+    let wl = alone(40, 22);
+    let mut engines: Vec<Box<dyn ServingEngine>> = vec![
+        Box::new(AdaServeEngine::new(SystemConfig::llama70b(4))),
+        Box::new(VllmSpecEngine::new(SystemConfig::llama70b(4), 4)),
+        Box::new(SmartSpecEngine::new(SystemConfig::llama70b(4))),
+        Box::new(StaticTreeEngine::new(SystemConfig::llama70b(4), 4, 2)),
+    ];
+    for engine in &mut engines {
+        squeeze(engine.as_mut(), 4);
+        let result = serve(engine.as_mut(), &wl);
+        assert_eq!(result.records.len(), 1, "{}", engine.name());
+        assert_eq!(result.records[0].output_tokens, 22, "{}", engine.name());
+        let blocks = &engine.core().blocks;
+        assert_eq!(blocks.free_blocks(), blocks.total_blocks());
+    }
+}
+
+#[test]
+fn a_request_that_can_never_fit_is_refused_at_admission() {
+    // 40 + 25 = 65 tokens can never fit a 64-token pool, although the
+    // prompt alone does: the front door refuses it instead of letting
+    // every engine preempt and recompute it until the time cap.
+    let wl = alone(40, 25);
+    let refusal = "prompt of 40 tokens plus 25 output tokens exceeds the \
+                   deployment's 64-token KV capacity";
+    let mut engines: Vec<Box<dyn ServingEngine>> = vec![
+        Box::new(VllmEngine::new(SystemConfig::llama70b(4))),
+        Box::new(VllmSpecEngine::new(SystemConfig::llama70b(4), 4)),
+        Box::new(AdaServeEngine::new(SystemConfig::llama70b(4))),
+    ];
+    for engine in &mut engines {
+        squeeze(engine.as_mut(), 4);
+        let report = serve(engine.as_mut(), &wl);
+        assert!(report.records.is_empty(), "{}", engine.name());
+        assert_eq!(report.rejected.len(), 1, "{}", engine.name());
+        assert_eq!(report.rejected[0].1.to_string(), refusal);
+    }
+
+    // Disaggregated: the decode pool is the smallest one.
+    let mut decode = AdaServeEngine::new(SystemConfig::llama70b(3));
+    squeeze(&mut decode, 4);
+    let disagg = DisaggCluster::new(
+        PrefillPool::new(vec![SystemConfig::llama70b(3)]),
+        vec![Box::new(decode)],
+        Dispatcher::new(RouterKind::SloAware.build()),
+        KvLink::new(300.0, 0.05),
+    );
+    let report = ServeSession::new(disagg)
+        .serve(&wl)
+        .expect("refusal keeps the run alive");
+    assert!(report.records.is_empty());
+    assert_eq!(report.rejected.len(), 1);
+    assert_eq!(report.rejected[0].1.to_string(), refusal);
 }
